@@ -36,7 +36,6 @@ from .degrees import (
     classify,
     ddeg,
     endomorphism_blowup,
-    idealization_degrees,
     tcdeg_check,
     tdeg,
 )

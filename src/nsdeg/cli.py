@@ -25,7 +25,14 @@ from .degrees import classify
 from .errors import InternalInvariantViolation, NsdegError
 from .herzog import herzog_consistency
 from .ideals import generate
-from .lab import enumerate_ideals, gap_subset_mask, profile_ideal
+from .lab import (
+    DEFAULT_ENUMERATION_CAP,
+    enumerate_ideals,
+    gap_subset_mask,
+    is_closed,
+    is_reflexive,
+    profile_ideal,
+)
 from .semigroup import NumericalSemigroup
 from .sweep import SweepConfig, run_sweep
 
@@ -137,22 +144,15 @@ def ideal(gens, ideal_gens, op, as_json):
         )
         return
 
-    prof = profile_ideal(E)
-    if op == "closed":
-        value = prof.is_closed
+    if op in ("closed", "reflexive"):
+        value = is_closed(E) if op == "closed" else is_reflexive(E)
         if as_json:
-            click.echo(json.dumps({"closed": value}))
+            click.echo(json.dumps({op: value}))
         else:
-            click.echo(f"closed: {_fmt(value)}")
-        return
-    if op == "reflexive":
-        value = prof.is_reflexive
-        if as_json:
-            click.echo(json.dumps({"reflexive": value}))
-        else:
-            click.echo(f"reflexive: {_fmt(value)}")
+            click.echo(f"{op}: {_fmt(value)}")
         return
 
+    prof = profile_ideal(E)
     payload = {
         "elements_below_conductor": prof.ideal.elements_below_conductor(),
         "conductor": prof.ideal.conductor,
@@ -252,7 +252,7 @@ def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path
 @click.option("--gens", required=True, callback=_parse_positive_list,
               help="Comma-separated semigroup generators.")
 @click.option("--enumerate-ideals", "do_enumerate", is_flag=True, required=True)
-@click.option("--max-genus", "cap", type=int, default=22,
+@click.option("--max-genus", "cap", type=int, default=DEFAULT_ENUMERATION_CAP,
               help="Refuse enumeration above this genus.")
 def lab(gens, do_enumerate, cap):
     """Profile every normalized relative ideal of a small semigroup (CSV)."""

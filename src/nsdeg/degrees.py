@@ -45,20 +45,6 @@ def canonical_index(S: NumericalSemigroup) -> int:
     return reduction(canonical_ideal(S)).reduction_number
 
 
-def idealization_degrees(S: NumericalSemigroup) -> tuple[int | None, int | None]:
-    """Degrees of the idealization of the maximal ideal, by formula.
-
-    cdeg component 2*cdeg + 2 requires a non-DVR ring; ddeg component
-    2*ddeg - 1 requires a non-Gorenstein ring.  A failed hypothesis is
-    encoded as None.
-    """
-    if S.conductor == 0:
-        return (None, None)
-    cd_part = 2 * cdeg(S) + 2
-    dd_part = None if S.is_symmetric() else 2 * ddeg(S) - 1
-    return (cd_part, dd_part)
-
-
 def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
     """The semigroup of the ring M : M, i.e. the value set M - M."""
     if S.conductor == 0:
@@ -118,9 +104,17 @@ class DegreeReport:
     gorenstein: bool
     almost_gorenstein: bool
     ddeg_is_one: bool
-    idealization_cdeg: int | None
-    idealization_ddeg: int | None
     tcdeg: TcdegCheck | None
+
+    @property
+    def idealization_cdeg(self) -> int | None:
+        """cdeg of the idealization of M, 2*cdeg + 2; None for a DVR."""
+        return None if self.genus == 0 else 2 * self.cdeg + 2
+
+    @property
+    def idealization_ddeg(self) -> int | None:
+        """ddeg of the idealization of M, 2*ddeg - 1; None if Gorenstein."""
+        return None if self.gorenstein else 2 * self.ddeg - 1
 
     def to_dict(self) -> dict:
         return {
@@ -145,15 +139,23 @@ class DegreeReport:
 def classify(S: NumericalSemigroup) -> DegreeReport:
     """Full degree report with internal consistency cross-checks.
 
+    U, K and K* are built once and every degree is read from them; the
+    single-invariant functions above stay as the reference for tests.
+    ddeg and tdeg share K* but part after it: one goes through K**,
+    the other through tr K = K * K*.
+
     The cross-checks (cdeg >= type - 1; Gorenstein <=> cdeg = 0 <=>
     ddeg = 0) are theorems, so a failure is an implementation bug and
     raises InternalInvariantViolation.
     """
     r = S.type
-    cd = cdeg(S)
-    dd = ddeg(S)
-    td = tdeg(S)
-    ci = canonical_index(S)
+    U = unit_ideal(S)
+    K = canonical_ideal(S)
+    K_dual = U.colon(K)
+    cd = length_quotient(K, U)
+    dd = length_quotient(U.colon(K_dual), K)
+    td = length_quotient(U, K.product(K_dual))
+    ci = reduction(K).reduction_number
     gorenstein = r == 1
 
     if cd < r - 1:
@@ -163,7 +165,6 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
             f"vanishing mismatch: type {r}, cdeg {cd}, ddeg {dd}"
         )
 
-    ideal_cd, ideal_dd = idealization_degrees(S)
     tc = tcdeg_check(S) if S.conductor > 0 else None
     return DegreeReport(
         generators=S.generators,
@@ -179,7 +180,5 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
         gorenstein=gorenstein,
         almost_gorenstein=cd == r - 1,
         ddeg_is_one=dd == 1,
-        idealization_cdeg=ideal_cd,
-        idealization_ddeg=ideal_dd,
         tcdeg=tc,
     )

@@ -66,8 +66,12 @@ def socle_quotient(E: RelativeIdeal, c: int) -> int | None:
     """
     if c not in E:
         raise NotMember(f"{c} is not an element of the ideal")
+    return _socle_quotient(E, c, maximal_ideal(E.ambient).product(E))
+
+
+def _socle_quotient(E: RelativeIdeal, c: int, me: RelativeIdeal) -> int | None:
+    """socle_quotient(E, c) given me = M + E."""
     target = unit_ideal(E.ambient).shift(c)
-    me = maximal_ideal(E.ambient).product(E)
     if not target.contains_ideal(me):
         return None
     return length_quotient(E, target)
@@ -80,7 +84,7 @@ def socle_witnesses(E: RelativeIdeal) -> list[tuple[int, int]]:
     for c in range(E.offset, me.offset + 1):
         if c not in E:
             continue
-        n = socle_quotient(E, c)
+        n = _socle_quotient(E, c, me)
         if n is not None:
             out.append((c, n))
     return out
@@ -115,13 +119,16 @@ class IdealProfile:
 def profile_ideal(E: RelativeIdeal) -> IdealProfile:
     """Profile of E after normalizing its minimum to 0."""
     norm = E.shift(-E.offset)
+    # The flag and the length stay two computations on the shared bidual,
+    # so that rel_ddeg == 0 <=> reflexive remains a check.
+    bidual = norm.bidual()
     return IdealProfile(
         ideal=norm,
         is_closed=is_closed(norm),
-        is_reflexive=is_reflexive(norm),
+        is_reflexive=bidual == norm,
         is_principal=is_principal(norm),
         is_canonical=is_canonical(norm),
-        rel_ddeg=bidual_defect(norm),
+        rel_ddeg=length_quotient(bidual, norm),
         socle_witnesses=tuple(socle_witnesses(norm)),
     )
 

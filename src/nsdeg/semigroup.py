@@ -71,7 +71,7 @@ class NumericalSemigroup:
         "_pf",
     )
 
-    def __init__(self, generators: Iterable[int], *, window_cap: int = DEFAULT_WINDOW_CAP):
+    def __init__(self, generators: Iterable[int]):
         gens = sorted({int(g) for g in generators})
         if not gens:
             raise EmptyGenerators("at least one generator is required")
@@ -84,12 +84,12 @@ class NumericalSemigroup:
             raise GcdNotOne(g)
 
         m = gens[0]
-        if m > window_cap:
-            raise Overflow(f"multiplicity {m} exceeds the window cap {window_cap}")
+        if m > DEFAULT_WINDOW_CAP:
+            raise Overflow(f"multiplicity {m} exceeds the window cap {DEFAULT_WINDOW_CAP}")
 
         # Grow the window until it shows m consecutive members; the first
         # such run starts exactly at the conductor.
-        limit = window_cap + m + 1
+        limit = DEFAULT_WINDOW_CAP + m + 1
         bound = min(max(2 * m + 2, 64), limit)
         while True:
             mask = _closure_window(gens, bound)
@@ -97,12 +97,12 @@ class NumericalSemigroup:
             if runs:
                 break
             if bound >= limit:
-                raise Overflow(f"frobenius number exceeds the window cap {window_cap}")
+                raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
             bound = min(bound * 2, limit)
 
         conductor = lowest_bit(runs)
-        if conductor > window_cap:
-            raise Overflow(f"frobenius number exceeds the window cap {window_cap}")
+        if conductor > DEFAULT_WINDOW_CAP:
+            raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
 
         self.conductor = conductor
         self.frobenius = conductor - 1
@@ -142,10 +142,6 @@ class NumericalSemigroup:
             self._pf = tuple(bit_positions(acc & ~self._window & ones(conductor)))
             self.type = len(self._pf)
 
-    @classmethod
-    def from_generators(cls, generators: Iterable[int], *, window_cap: int = DEFAULT_WINDOW_CAP) -> "NumericalSemigroup":
-        return cls(generators, window_cap=window_cap)
-
     # -- membership ----------------------------------------------------
 
     def contains(self, z: int) -> bool:
@@ -157,10 +153,6 @@ class NumericalSemigroup:
 
     def __contains__(self, z: int) -> bool:
         return self.contains(z)
-
-    def is_full(self) -> bool:
-        """True iff S is all of the nonnegative integers (the DVR case)."""
-        return self.conductor == 0
 
     # -- classical invariants ------------------------------------------
 

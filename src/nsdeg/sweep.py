@@ -8,8 +8,8 @@ theorem as a property, and records the conjectured inequality
 cdeg >= ddeg as data: theorems failing is an error condition, a
 conjecture counterexample is a finding.
 
-Reports are deterministic byte for byte for a fixed configuration,
-independent of the parallelism level.
+Reports are deterministic byte for byte for a fixed configuration; the
+parallelism level changes only its own echo in the JSON config block.
 """
 
 from __future__ import annotations

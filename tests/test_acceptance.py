@@ -14,7 +14,6 @@ from nsdeg import (
     NumericalSemigroup,
     classify,
     herzog_consistency,
-    idealization_degrees,
     unit_ideal,
 )
 from nsdeg.errors import NoValidOrientation
@@ -176,9 +175,13 @@ def test_criterion_6b_herzog_orientation_always_exists(herzog_family):
 
 
 def test_criterion_7_idealization_formulas():
-    pair = idealization_degrees(NumericalSemigroup([5, 7, 9]))
-    gor = idealization_degrees(NumericalSemigroup([2, 3]))
-    dvr = idealization_degrees(NumericalSemigroup([1]))
+    def idealization(gens):
+        rep = classify(NumericalSemigroup(gens))
+        return (rep.idealization_cdeg, rep.idealization_ddeg)
+
+    pair = idealization([5, 7, 9])
+    gor = idealization([2, 3])
+    dvr = idealization([1])
     ok = _line(
         7,
         pair == (6, 1) and gor == (2, None) and dvr == (None, None),

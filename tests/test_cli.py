@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
 import json
+
+import pytest
 
 from nsdeg import NumericalSemigroup, classify
 from nsdeg.cli import main
@@ -80,6 +83,10 @@ def test_ideal_flags(capsys):
     assert code == 0 and "closed: true" in out
     code, out, _ = run(capsys, "ideal", "--gens", "5,7,9", "--ideal", "0,2", "--op", "reflexive")
     assert code == 0 and "reflexive: false" in out
+    code, out, _ = run(capsys, "ideal", "--gens", "5,7,9", "--ideal", "0,2", "--op", "closed", "--json")
+    assert code == 0 and out == '{"closed": true}\n'
+    code, out, _ = run(capsys, "ideal", "--gens", "5,7,9", "--ideal", "0,2", "--op", "reflexive", "--json")
+    assert code == 0 and out == '{"reflexive": false}\n'
     code, out, _ = run(capsys, "ideal", "--gens", "5,7,9", "--ideal", "0,2", "--op", "profile", "--json")
     payload = json.loads(out)
     assert payload["rel_ddeg"] == 1
@@ -135,6 +142,26 @@ def test_sweep_deterministic_output(tmp_path, capsys):
         run(capsys, "sweep", "--max-genus", "5", "--out", str(p), "--format", "json")
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+# Digests of the genus <= 12 reports as first recorded; a change that
+# alters any value, row order or formatting in either report breaks them.
+GOLDEN_REPORTS_12 = {
+    "csv": ("74c7e7886180ca81a6b5217d25e3236ec0586eb68204a5cd535f854aa5efc6df", 83290),
+    "json": ("e4b6291820caadb816074bc26284946e63f095d215c4f0721a12b4309d0b87f6", 1159659),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_REPORTS_12))
+def test_sweep_golden_report(tmp_path, capsys, fmt):
+    path = tmp_path / f"report.{fmt}"
+    code, _, _ = run(
+        capsys, "sweep", "--max-genus", "12", "--check-conjecture", "--check-herzog",
+        "--out", str(path), "--format", fmt,
+    )
+    assert code == 0
+    data = path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_REPORTS_12[fmt]
 
 
 def test_sweep_exit_codes(tmp_path, capsys, monkeypatch):

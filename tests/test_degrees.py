@@ -8,7 +8,6 @@ from nsdeg import (
     classify,
     ddeg,
     endomorphism_blowup,
-    idealization_degrees,
     tcdeg_check,
     tdeg,
 )
@@ -75,9 +74,9 @@ def test_classify_full_semigroup():
 
 
 def test_idealization_degrees():
-    assert idealization_degrees(S579) == (6, 1)
-    assert idealization_degrees(S23) == (2, None)
-    assert idealization_degrees(FULL) == (None, None)
+    for S, want in ((S579, (6, 1)), (S23, (2, None)), (FULL, (None, None))):
+        rep = classify(S)
+        assert (rep.idealization_cdeg, rep.idealization_ddeg) == want
 
 
 def test_endomorphism_blowup():
@@ -111,6 +110,10 @@ def test_theorems_over_small_genus():
     found_ddeg_one_non_ag = False
     for S in enumerate_semigroups(9):
         rep = classify(S)
+        # classify shares K and K* between degrees; the single-invariant
+        # functions rebuild each from scratch
+        single = (cdeg(S), ddeg(S), tdeg(S), canonical_index(S))
+        assert (rep.cdeg, rep.ddeg, rep.tdeg, rep.canonical_index) == single
         symmetric = S.genus == 0 or S.is_symmetric()
         assert (rep.cdeg == 0) == (rep.ddeg == 0) == symmetric == rep.gorenstein
         assert rep.cdeg >= rep.type_r - 1

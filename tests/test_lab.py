@@ -157,6 +157,11 @@ def test_ext_check_flagging():
             continue
         for E in enumerate_ideals(S):
             prof = profile_ideal(E)
+            # profile shares E** and M + E; the standalone functions do not
+            assert prof.is_reflexive == is_reflexive(E)
+            assert prof.rel_ddeg == bidual_defect(E)
+            for c, n in prof.socle_witnesses:
+                assert n == socle_quotient(E, c)
             if prof.needs_ext_check:
                 flagged.append((S, E, prof))
             if prof.is_canonical and prof.socle_witnesses:

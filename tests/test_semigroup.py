@@ -9,6 +9,7 @@ from nsdeg import (
     NumericalSemigroup,
     Overflow,
 )
+from nsdeg import semigroup
 from nsdeg.sweep import enumerate_semigroups
 
 from oracles import gaps_of, semigroup_set
@@ -91,7 +92,7 @@ def test_is_symmetric():
         NumericalSemigroup([1]).is_symmetric()
 
 
-def test_construction_errors():
+def test_construction_errors(monkeypatch):
     with pytest.raises(EmptyGenerators):
         NumericalSemigroup([])
     with pytest.raises(GcdNotOne) as info:
@@ -100,23 +101,26 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         NumericalSemigroup([0, 3])
     with pytest.raises(Overflow):
-        NumericalSemigroup([2, 3], window_cap=0)
-    with pytest.raises(Overflow):
         NumericalSemigroup([1, 2**63])
-
-
-def test_window_cap_bounds_frobenius():
-    # frobenius of <2, 2001> is 1999; caps below that must refuse
+    monkeypatch.setattr(semigroup, "DEFAULT_WINDOW_CAP", 0)
     with pytest.raises(Overflow):
-        NumericalSemigroup([2, 2001], window_cap=1000)
-    S = NumericalSemigroup([2, 2001], window_cap=3000)
+        NumericalSemigroup([2, 3])
+
+
+def test_window_cap_bounds_frobenius(monkeypatch):
+    # frobenius of <2, 2001> is 1999; caps below that must refuse
+    monkeypatch.setattr(semigroup, "DEFAULT_WINDOW_CAP", 1000)
+    with pytest.raises(Overflow):
+        NumericalSemigroup([2, 2001])
+    monkeypatch.setattr(semigroup, "DEFAULT_WINDOW_CAP", 3000)
+    S = NumericalSemigroup([2, 2001])
     assert S.frobenius == 1999
 
 
 def test_from_generators_idempotent():
     for gens in ([5, 7, 9], [3, 4, 5, 8], [2, 3], [1], [4, 6, 7]):
         S = NumericalSemigroup(gens)
-        T = NumericalSemigroup.from_generators(S.generators)
+        T = NumericalSemigroup(S.generators)
         assert S == T
         assert (T.frobenius, T.gaps, T.generators, T._window) == (
             S.frobenius,

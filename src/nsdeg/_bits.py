@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from itertools import compress, count
+
+#: Maps the digits of bin() to the bytes 0 and 1, for ``compress``.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def ones(n: int) -> int:
@@ -13,15 +16,23 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def highest_bit(mask: int) -> int:
-    return mask.bit_length() - 1
+def bit_positions(mask: int) -> list[int]:
+    """Set bits of a nonnegative mask, ascending.
 
-
-def bit_positions(mask: int) -> Iterator[int]:
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+    Linear in the width: the binary digits are scanned once in C, by
+    ``str.find`` from one set bit to the next when few bits are set (an
+    ideal's generators in a window of thousands) and by ``compress``
+    otherwise.
+    """
+    digits = bin(mask)[:1:-1]
+    if 8 * mask.bit_count() < len(digits):
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+    return list(compress(count(), digits.encode().translate(_DIGIT_BYTES)))
 
 
 def reverse_bits(mask: int, width: int) -> int:

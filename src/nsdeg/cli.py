@@ -208,7 +208,7 @@ def herzog(gens, as_json):
               help="Exit nonzero when the conjecture has counterexamples.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--jobs", type=int, default=1, help="Parallel worker processes.")
+@click.option("--jobs", type=int, default=1, help="Parallel worker processes, at most one per CPU.")
 def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path, fmt, jobs):
     """Sweep all semigroups up to a genus bound and write a report file."""
     cfg = SweepConfig(

@@ -46,19 +46,18 @@ def canonical_index(S: NumericalSemigroup) -> int:
 
 
 def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
-    """The semigroup of the ring M : M, i.e. the value set M - M."""
+    """The semigroup of the ring M : M, i.e. the value set M - M.
+
+    T = M - M is a ring containing S, so T's positive generators as an
+    S-module together with the generators of S generate T as a semigroup.
+    """
     if S.conductor == 0:
         raise FullSemigroup("M - M is undefined for the full semigroup")
     M = maximal_ideal(S)
     T = M.colon(M)
     if T.offset != 0:
         raise InternalInvariantViolation("M - M does not contain 0")
-    if T.conductor == 0:
-        return NumericalSemigroup([1])
-    window_elems = T.elements_below_conductor()
-    min_positive = window_elems[1] if len(window_elems) > 1 else T.conductor
-    gens = [x for x in range(1, T.conductor + min_positive) if T.contains(x)]
-    return NumericalSemigroup(gens)
+    return NumericalSemigroup([*T.minimal_generators()[1:], *S.generators])
 
 
 @dataclass(frozen=True)

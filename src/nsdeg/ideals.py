@@ -8,6 +8,20 @@ in normal form: the minimum element (offset), the minimal conductor
 three parts coincide, which makes all the identity checks in the test
 suite exact set comparisons.
 
+Products and colons run over minimal generators, by the value-set
+identities (Barucci-Dobbs-Fontana, Mem. AMS 1997; Rosales-Garcia-Sanchez,
+Numerical Semigroups, 2009)
+
+    E + F = union of f + E,   E : F = intersection of E - f,
+
+f ranging over the minimal generators of F.  An ideal's minimal
+generators are E minus (M + E), where M + E is the union of g + E over
+the minimal generators g of S; each ideal computes them once, on first
+use.  An operation thus costs about one shift per generator of one
+factor rather than one per element of its window; the canonical ideal
+K has only type(S) generators.  The reduction loop is bounded by the
+genus of S, a theorem (see :func:`reduction`), not by a fixed count.
+
 All operations are pure; results are re-normalized and re-validated on
 construction, so a bug in any operation surfaces immediately as an
 InternalInvariantViolation rather than as a corrupted value.
@@ -18,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from ._bits import bit_positions, highest_bit, lowest_bit, ones, reverse_bits
+from ._bits import bit_positions, lowest_bit, ones, reverse_bits
 from .errors import (
     AmbientMismatch,
     EmptyGenerators,
@@ -41,36 +55,53 @@ class RelativeIdeal:
     plus everything at or above tail) and normalizes it.
     """
 
-    __slots__ = ("ambient", "offset", "conductor", "_window")
+    __slots__ = ("ambient", "offset", "conductor", "_window", "_gens")
 
     def __init__(self, ambient: NumericalSemigroup, start: int, mask: int, tail: int):
         if tail < start:
             raise InternalInvariantViolation("half-line tail precedes its start")
-        mask &= ones(tail - start)
+        full = ones(tail - start)
+        mask &= full
         if mask == 0:
             offset = conductor = tail
-            window = 0
+            window = missing = 0
         else:
             lo = lowest_bit(mask)
             offset = start + lo
-            missing = ~mask & ones(tail - start) & ~ones(lo)
-            conductor = start + highest_bit(missing) + 1 if missing else offset
+            # bit i set: offset + i is not in E; the highest one is the
+            # Frobenius number of E
+            missing = (full ^ mask) >> lo
+            conductor = offset + missing.bit_length()
             window = (mask >> lo) & ones(conductor - offset)
         self.ambient = ambient
         self.offset = offset
         self.conductor = conductor
         self._window = window
-        self._validate()
+        self._gens: list[int] | None = None
+        self._validate(missing)
 
-    def _validate(self) -> None:
-        # E + g inside E for every minimal generator g of the ambient.
-        length = self.conductor - self.offset
+    def _validate(self, missing: int) -> None:
+        # E + g inside E for every minimal generator g of the ambient;
+        # ``missing`` marks the integers of [offset, conductor) not in E.
         for g in self.ambient.generators:
-            full = self._window | (ones(g) << length)
-            if (self._window << g) & ~full & ones(length + g):
+            if (self._window << g) & missing:
                 raise InternalInvariantViolation(
                     f"value set is not closed under adding {g}"
                 )
+
+    def _generators(self) -> list[int]:
+        """Minimal generators as offsets from min E, computed once.
+
+        They are E minus (M + E) and lie below conductor + multiplicity.
+        """
+        if self._gens is None:
+            S = self.ambient
+            ext = self._ext(self.conductor + S.multiplicity)
+            sums = 0
+            for g in S.generators:
+                sums |= ext << g
+            self._gens = bit_positions(ext & ~sums)
+        return self._gens
 
     # -- membership and views -------------------------------------------
 
@@ -118,27 +149,43 @@ class RelativeIdeal:
         return RelativeIdeal(self.ambient, start, mask, tail)
 
     def product(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """Ideal product: the Minkowski sum of the two value sets."""
+        """Ideal product: the Minkowski sum of the two value sets.
+
+        E + F is the union of f + E over the minimal generators f of F,
+        F being whichever factor has fewer of them.
+        """
         self._check_ambient(other)
         start = self.offset + other.offset
         tail = min(self.conductor + other.offset, other.conductor + self.offset)
-        if tail - start > _IDEAL_WINDOW_CAP:
+        length = tail - start
+        if length > _IDEAL_WINDOW_CAP:
             raise Overflow("product window exceeds the size bound")
-        fmask = other._ext(tail - self.offset)
+        e, f = self, other
+        if len(e._generators()) < len(f._generators()):
+            e, f = f, e
+        emask = e._ext(e.offset + length)
         acc = 0
-        for e_rel in bit_positions(self._ext(tail - other.offset)):
-            acc |= fmask << e_rel
-        return RelativeIdeal(self.ambient, start, acc & ones(tail - start), tail)
+        for g in f._generators():
+            if g >= length:
+                break
+            acc |= emask << g
+        return RelativeIdeal(self.ambient, start, acc & ones(length), tail)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """E : F = all z with z + F inside E; realizes Hom(F, E)."""
+        """E : F = all z with z + F inside E; realizes Hom(F, E).
+
+        z + F lies in E exactly when z + f does for every minimal
+        generator f of F, so E : F is the intersection of E - f.
+        """
         self._check_ambient(other)
         start = self.offset - other.offset
         length = self.conductor - self.offset
         missing = ~self._window & ones(length)
         bad = 0
-        for f_rel in bit_positions(other._ext(other.offset + length)):
-            bad |= missing >> f_rel
+        for f in other._generators():
+            if f >= length:
+                break
+            bad |= missing >> f
         return RelativeIdeal(self.ambient, start, ~bad & ones(length), start + length)
 
     def dual(self) -> "RelativeIdeal":
@@ -154,10 +201,7 @@ class RelativeIdeal:
 
     def minimal_generators(self) -> list[int]:
         """Minimal G with generate(S, G) = E, namely E minus (M + E)."""
-        me = maximal_ideal(self.ambient).product(self)
-        stop = me.conductor
-        diff = self._ext(stop) & ~(me._ext(stop) << (me.offset - self.offset))
-        return [self.offset + i for i in bit_positions(diff)]
+        return [self.offset + f for f in self._generators()]
 
     def contains_ideal(self, other: "RelativeIdeal") -> bool:
         """True iff other is a subset of self."""
@@ -273,16 +317,24 @@ def reduction(ideal: RelativeIdeal) -> ReductionData:
     """Reduction data of E by a = t^min(E).
 
     Returns the least r >= 0 with E^(r+1) = a + E^r as value sets; the
-    stabilization is re-verified one step further.  The iteration always
-    terminates mathematically; the cap only guards implementation bugs.
+    stabilization is re-verified one step further.  Each power is one
+    product over the generators of E (or of the power, if it has fewer).
+
+    r is at most the genus g of S.  The shifted powers E_n = nE - na form
+    a chain S = E_0, E_1, ... inside the nonnegative integers: a in E
+    gives E_(n-1) inside E_n, and min nE = na keeps E_n nonnegative.
+    E_(r+1) = E_r implies E_(r+2) = E_r + E - a = E_(r+1), so the chain
+    grows strictly until it stops.  It starts from S, which misses g
+    nonnegative integers, so it grows at most g times.  The loop runs
+    g + 1 steps; running past them can only be an implementation bug.
     """
     a = ideal.offset
     prev = unit_ideal(ideal.ambient)
     cur = ideal
-    for r in range(65):
+    for r in range(ideal.ambient.genus + 1):
         if cur == prev.shift(a):
             if cur.product(ideal) != cur.shift(a):
                 raise InternalInvariantViolation("reduction did not stabilize")
             return ReductionData(a, r)
         prev, cur = cur, cur.product(ideal)
-    raise InternalInvariantViolation("reduction number exceeded 64 iterations")
+    raise InternalInvariantViolation("reduction number exceeded the genus bound")

@@ -204,7 +204,7 @@ class NumericalSemigroup:
         mask = self._window
         if stop > self.conductor:
             mask |= ones(stop - self.conductor) << self.conductor
-        return list(bit_positions(mask & ones(stop)))
+        return bit_positions(mask & ones(stop))
 
     def to_dict(self) -> dict:
         return {

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -237,9 +238,12 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     inputs = [S.generators for S in enumerate_semigroups(cfg.max_genus)]
 
     work = partial(evaluate_ring, check_herzog=cfg.check_herzog)
-    if cfg.parallelism > 1:
-        chunk = max(1, len(inputs) // (cfg.parallelism * 8))
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+    # More workers than CPUs only add processes; the report still echoes
+    # the requested parallelism.
+    workers = min(cfg.parallelism, os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(inputs) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(work, inputs, chunksize=chunk))
     else:
         rows = [work(gens) for gens in inputs]

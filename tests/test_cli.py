@@ -25,6 +25,14 @@ def test_degrees_human(capsys):
     assert "idealization_ddeg: 1" in out
 
 
+def test_degrees_large_canonical_index(capsys):
+    code, out, err = run(capsys, "degrees", "--gens", "1001,1003,1009")
+    assert code == 0, err
+    assert "cdeg: 250" in out
+    assert "ddeg: 3" in out
+    assert "canonical_index: 112" in out
+
+
 def test_degrees_gorenstein(capsys):
     code, out, _ = run(capsys, "degrees", "--gens", "2,3")
     assert code == 0

@@ -47,6 +47,13 @@ def test_canonical_index():
     assert canonical_index(FULL) == 0
 
 
+def test_canonical_index_past_a_fixed_step_cap():
+    # K needs 112 products to stabilize; the reduction loop is bounded by
+    # the genus, not by a fixed number of steps
+    rep = classify(NumericalSemigroup([1001, 1003, 1009]))
+    assert (rep.cdeg, rep.ddeg, rep.canonical_index) == (250, 3, 112)
+
+
 def test_classify_golden():
     rep = classify(S579)
     assert rep.type_r == 2

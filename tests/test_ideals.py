@@ -1,18 +1,25 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsdeg import (
     AmbientMismatch,
     EmptyGenerators,
+    InternalInvariantViolation,
     NotContained,
     NumericalSemigroup,
     canonical_ideal,
+    endomorphism_blowup,
     generate,
     length_quotient,
     maximal_ideal,
     reduction,
     unit_ideal,
 )
+from nsdeg._bits import bit_positions
+from nsdeg.ideals import RelativeIdeal
 from nsdeg.lab import enumerate_ideals
 from nsdeg.sweep import enumerate_semigroups
 
@@ -57,6 +64,14 @@ def test_minimal_generators():
     assert unit_ideal(S579).minimal_generators() == [0]
     assert maximal_ideal(S579).minimal_generators() == [5, 7, 9]
     assert generate(S579, K.minimal_generators()) == K
+
+
+def test_constructor_rejects_sets_not_closed():
+    S_values = sum(1 << z for z in (0, 5, 7, 9, 10, 12))
+    assert RelativeIdeal(S579, 0, S_values, 14) == unit_ideal(S579)
+    for values in ((0,), (0, 5, 7, 9, 10)):  # 0 + 5 and 7 + 5 are missing
+        with pytest.raises(InternalInvariantViolation):
+            RelativeIdeal(S579, 0, sum(1 << z for z in values), 14)
 
 
 def test_union():
@@ -152,6 +167,30 @@ def test_reduction_against_power_oracle():
         if {z for z in powers[r + 1] if z < 100} == {z for z in powers[r] if z < 100}
     )
     assert reduction(canonical_ideal(S579)).reduction_number == stab
+
+
+def test_reduction_past_the_genus_bound_is_a_bug():
+    # the index of K over <5,7,9> is 4, which a genus of 4 allows; a
+    # semigroup claiming genus 3 leaves the loop too few steps, which
+    # only a bug could cause
+    S = NumericalSemigroup([5, 7, 9])
+    S.genus = 4
+    assert reduction(canonical_ideal(S)).reduction_number == 4
+    S.genus = 3
+    with pytest.raises(InternalInvariantViolation):
+        reduction(canonical_ideal(S))
+
+
+def test_reduction_number_at_most_multiplicity_minus_one():
+    # Lipman: in a one-dimensional Cohen-Macaulay local ring of
+    # multiplicity e, every m-primary ideal has reduction number <= e - 1
+    for S in enumerate_semigroups(12):
+        assert reduction(canonical_ideal(S)).reduction_number <= S.multiplicity - 1, S
+    for S in enumerate_semigroups(9):
+        if S.genus == 0:
+            continue
+        for E in enumerate_ideals(S):
+            assert reduction(E).reduction_number <= S.multiplicity - 1, (S, E)
 
 
 def test_canonical_ideal_values():
@@ -256,3 +295,68 @@ def test_generate_yields_valid_ideals(gens, ideal_gens):
         E.offset,
         E.conductor + 5,
     )
+
+
+def _large_rings(rng, count, max_conductor=1500):
+    """Seeded rings with 3 or 4 generators in [20, 150).
+
+    The plain-set oracles are quadratic in their bound, so rings with a
+    conductor above ``max_conductor`` are passed over.
+    """
+    rings = []
+    while len(rings) < count:
+        gens = rng.sample(range(20, 150), 3 + len(rings) % 2)
+        if math.gcd(*gens) == 1:
+            S = NumericalSemigroup(gens)
+            if S.conductor <= max_conductor:
+                rings.append(S)
+    return rings
+
+
+def test_calculus_matches_plain_sets_on_large_rings():
+    rng = random.Random(2209)
+    for S in _large_rings(rng, 8):
+        m = S.multiplicity
+        # generators of the random ideals lie in [0, 2m), so every
+        # conductor below involved is at most S.conductor + 4m
+        bound = S.conductor + 4 * m + 2
+        s_set = semigroup_set(list(S.generators), bound)
+        m_set = s_set - {0}
+        ideals = {
+            "K": (canonical_ideal(S), {x for x in range(bound) if S.frobenius - x not in s_set}),
+            "M": (maximal_ideal(S), m_set),
+        }
+        for name in ("E", "F"):
+            gens = rng.sample(range(2 * m), rng.randint(1, 4))
+            ideals[name] = (generate(S, gens), ideal_set(s_set, gens, bound))
+
+        for E, e_set in ideals.values():
+            gens = E.minimal_generators()
+            assert ideal_set(s_set, gens, bound) == e_set, (S, E)
+            for g in gens:
+                assert g not in ideal_set(s_set, [h for h in gens if h != g], bound), (S, E, g)
+
+        for a, b in (("E", "F"), ("E", "K"), ("K", "K"), ("M", "F"), ("K", "M")):
+            (E, e_set), (F, f_set) = ideals[a], ideals[b]
+            P = E.product(F)
+            assert P == F.product(E)
+            assert P.conductor < bound
+            assert {z for z in range(bound) if z in P} == minkowski(e_set, f_set, bound), (S, a, b)
+            Q = E.colon(F)
+            lo, hi = E.offset - F.offset - 1, E.conductor
+            assert Q.conductor <= hi
+            assert {z for z in range(lo, hi) if z in Q} == colon_set(e_set, f_set, lo, hi, bound), (S, a, b)
+
+        T = endomorphism_blowup(S)
+        c = S.conductor
+        assert {z for z in range(c) if z in T} == colon_set(m_set, m_set, 0, c, bound), S
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 5000])
+@pytest.mark.parametrize("fill", [0.05, 0.9])
+def test_bit_positions_matches_naive_loop(width, fill):
+    rng = random.Random(width)
+    mask = sum(1 << i for i in range(width - 1) if rng.random() < fill)
+    if width:
+        mask |= 1 << (width - 1)
+    assert bit_positions(mask) == [i for i in range(width) if mask >> i & 1]

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from nsdeg import CapExceeded, NumericalSemigroup
+from nsdeg import sweep
 from nsdeg.sweep import SweepConfig, enumerate_semigroups, evaluate_ring, run_sweep
 
 from oracles import count_semigroups_of_genus
@@ -155,3 +158,35 @@ def test_evaluate_ring_row_shape():
     full = evaluate_ring((1,))
     assert full["properties"]["tcdeg"] is None
     assert full["properties"]["closed_reflexive_principal"] is None
+
+
+def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
+    # a stand-in executor records its size and maps serially, so no
+    # process is started whatever parallelism is requested
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    serial = run_sweep(SweepConfig(max_genus=5))
+    report = run_sweep(SweepConfig(max_genus=5, parallelism=64))
+    assert sizes == [2]
+    assert report.rows == serial.rows
+    assert report.to_csv_str() == serial.to_csv_str()
+    assert json.loads(report.to_json_str())["config"]["parallelism"] == 64
+    # an unknown CPU count means one worker, which runs in-process
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert run_sweep(SweepConfig(max_genus=5, parallelism=3)).rows == serial.rows
+    assert sizes == [2]

@@ -337,4 +337,4 @@ def reduction(ideal: RelativeIdeal) -> ReductionData:
                 raise InternalInvariantViolation("reduction did not stabilize")
             return ReductionData(a, r)
         prev, cur = cur, cur.product(ideal)
-    raise InternalInvariantViolation("reduction number exceeded the genus bound")
+    raise InternalInvariantViolation("reduction did not stabilize within genus + 1 steps")

@@ -9,6 +9,7 @@ bound comfortably past every conductor involved.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 
 
@@ -58,6 +59,22 @@ def colon_set(e: set[int], f: set[int], lo: int, hi: int, known: int) -> set[int
         if all(z + x in e for x in f if x < e_cond - z):
             out.add(z)
     return out
+
+
+def stable_power_index(gaps: set[int], k_set: set[int]) -> int:
+    """Least r with (r+1)K = rK, for a K inside the naturals containing 0.
+
+    The powers nK grow from S (0 in K), so only their gaps are tracked,
+    starting from ``gaps``, the gaps of S: z stays a gap of (n+1)K = nK + K
+    iff z - y is a gap of nK for every y of K up to z.
+    """
+    ks = sorted(y for y in k_set if y <= max(gaps, default=0))
+    r = 0
+    while True:
+        nxt = {z for z in gaps if all(z - y in gaps for y in ks[: bisect_right(ks, z)])}
+        if nxt == gaps:
+            return r
+        gaps, r = nxt, r + 1
 
 
 def valid_gap_subsets(gens: list[int], gaps: list[int], s_elems: set[int]) -> list[int]:

@@ -54,6 +54,35 @@ def test_canonical_index_past_a_fixed_step_cap():
     assert (rep.cdeg, rep.ddeg, rep.canonical_index) == (250, 3, 112)
 
 
+@pytest.mark.parametrize(
+    "gens, expected",
+    [
+        ([87, 131, 132, 211], (129, 30, 80)),
+        ([106, 109, 158, 221], (130, 41, 87)),
+        ([146, 151, 236], (224, 32, 72)),
+    ],
+)
+def test_rings_past_a_fixed_step_cap_match_plain_sets(gens, expected):
+    # rings of the big-rings benchmark whose canonical index exceeds 64;
+    # the expected (cdeg, ddeg, canonical index) come from plain sets
+    from oracles import colon_set, conductor_of, semigroup_set, stable_power_index
+
+    rep = classify(NumericalSemigroup(gens))
+    assert (rep.cdeg, rep.ddeg, rep.canonical_index) == expected
+
+    # the Frobenius number is below min(gens) * max(gens)
+    top = min(gens) * max(gens)
+    probe = semigroup_set(gens, top)
+    c = conductor_of(probe, 0, top)
+    bound = 2 * c + 2 * min(gens)
+    s = {x for x in probe if x < bound}
+    k = {x for x in range(bound) if c - 1 - x not in s}
+    k_dual = colon_set(s, k, 0, c, bound) | set(range(c, bound))
+    k_bidual = colon_set(s, k_dual, -c, c, bound)
+    gaps = {z for z in range(c) if z not in s}
+    assert (len(k - s), len(k_bidual - k), stable_power_index(gaps, k)) == expected
+
+
 def test_classify_golden():
     rep = classify(S579)
     assert rep.type_r == 2

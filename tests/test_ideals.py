@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,7 +170,7 @@ def test_reduction_against_power_oracle():
     assert reduction(canonical_ideal(S579)).reduction_number == stab
 
 
-def test_reduction_past_the_genus_bound_is_a_bug():
+def test_reduction_past_the_genus_bound_is_a_bug(monkeypatch):
     # the index of K over <5,7,9> is 4, which a genus of 4 allows; a
     # semigroup claiming genus 3 leaves the loop too few steps, which
     # only a bug could cause
@@ -177,8 +178,14 @@ def test_reduction_past_the_genus_bound_is_a_bug():
     S.genus = 4
     assert reduction(canonical_ideal(S)).reduction_number == 4
     S.genus = 3
-    with pytest.raises(InternalInvariantViolation):
+    with pytest.raises(InternalInvariantViolation) as info:
         reduction(canonical_ideal(S))
+    # the benchmark files the old fixed-cap error as a known defect and
+    # leaves it out of its failure count; this error must not match it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import is_known_defect
+
+    assert not is_known_defect(info.value)
 
 
 def test_reduction_number_at_most_multiplicity_minus_one():

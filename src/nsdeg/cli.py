@@ -218,9 +218,7 @@ def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path
         output_format=fmt,
         parallelism=jobs,
     )
-    report = run_sweep(cfg)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(report.render())
+    report = run_sweep(cfg, out_path)
 
     total = sum(report.genus_counts.values())
     click.echo(f"rings: {total}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterator
 
+from ._bits import ones
 from .errors import FullSemigroup, NotMember, TooLarge
 from .ideals import (
     RelativeIdeal,
@@ -70,11 +71,21 @@ def socle_quotient(E: RelativeIdeal, c: int) -> int | None:
 
 
 def _socle_quotient(E: RelativeIdeal, c: int, me: RelativeIdeal) -> int | None:
-    """socle_quotient(E, c) given me = M + E."""
-    target = unit_ideal(E.ambient).shift(c)
-    if not target.contains_ideal(me):
+    """socle_quotient(E, c) given me = M + E, for c in E.
+
+    Mask arithmetic over [c, stop), stop past every conductor involved:
+    M + E lies in c + S iff min(M + E) >= c and (M + E) - c has no
+    element outside S, and then |E minus (c + S)| is |E| minus |c + S|
+    below stop, because c + S lies in E.
+    """
+    if me.offset < c:
         return None
-    return length_quotient(E, target)
+    S = E.ambient
+    stop = max(me.conductor, c + S.conductor)
+    shifted_s = ones(stop - c) & ~(ones(S.conductor) & ~S._window)
+    if (me._ext(stop) << (me.offset - c)) & ~shifted_s:
+        return None
+    return E._ext(stop).bit_count() - shifted_s.bit_count()
 
 
 def socle_witnesses(E: RelativeIdeal) -> list[tuple[int, int]]:

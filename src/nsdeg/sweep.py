@@ -8,6 +8,19 @@ theorem as a property, and records the conjectured inequality
 cdeg >= ddeg as data: theorems failing is an error condition, a
 conjecture counterexample is a finding.
 
+The sweep walks the tree level by level: genus g + 1 is the children
+of genus g, sorted by generators, which is the report's order within a
+genus.  Each level goes through the workers in order, in bounded
+chunks; a worker returns a ring's row together with its children's
+minimal generators, so the parent holds the generator tuples of one
+level and of the next, never a row it has already written.  Tallies
+are counted as rows arrive.  CSV rows go straight to the output; the
+JSON summary comes before ``"rings"``, so JSON rows are spooled to a
+temporary file beside the output and copied in after the summary.  The
+report is written to a temporary file in the output's directory and
+renamed onto it only once the sweep has succeeded, so a failing sweep
+leaves no partial report behind.
+
 Reports are deterministic byte for byte for a fixed configuration; the
 parallelism level changes only its own echo in the JSON config block.
 """
@@ -15,13 +28,15 @@ parallelism level changes only its own echo in the JSON config block.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .degrees import classify
 from .errors import CapExceeded, NoValidOrientation
@@ -30,9 +45,31 @@ from .ideals import unit_ideal
 from .lab import enumerate_ideals, is_closed, is_reflexive
 from .semigroup import NumericalSemigroup
 
-HARD_MAX_GENUS = 40
+#: The deepest sweep that fits a day of 2 CPUs and 8 GB of parent memory.
+#:
+#: n_g, the number of semigroups of genus g (OEIS A007323), grows about
+#: like the golden ratio per genus: n_32 = 15,195,070, n_33 = 24,896,206,
+#: n_34 = 40,761,087, n_35 = 66,687,201.  Both budgets are scaled from a
+#: genus <= 22 JSON sweep with --jobs 2 (2 vCPUs, Python 3.11.7): 39.9 s
+#: on a busy host, 28.2 s on a quiet one; the slower run sets the rates.
+#:
+#: Time: levels 18 to 22 took 13 to 16 s per 100,000 rings, about
+#: 7.4 us x g per ring at genus g, so a sweep to genus G takes the sum
+#: over g <= G of n_g x 7.4 us x g: 4.1 h for G = 33, 7.0 h for 34, 20 h
+#: for 36 and 33 h for 37.  The day allows G <= 36.
+#:
+#: Memory: at its peak the parent holds the generator tuples of levels
+#: G - 1 and G.  A tuple of e generators costs 56 + 8e bytes, plus 16
+#: for the references to it in the level and chunk lists; the mean e is
+#: about 0.4 g + 1.5 (9.55 at genus 20).  G = 33 needs 40.1 M tuples of
+#: about 190 bytes, 7.6 GB; G = 34 needs 65.7 M of 193 bytes, 12.7 GB.
+#: (The genus <= 22 sweep peaked at 48.7 MB holding 165,440 tuples, under
+#: this estimate.)  8 GB allows G <= 33, the tighter of the two budgets.
+HARD_MAX_GENUS = 33
 #: Ideal-level exhaustive checks run only up to this genus inside sweeps.
 IDEAL_CHECK_GENUS = 10
+#: Most rings a worker evaluates per task.
+MAX_CHUNK = 256
 
 #: Properties re-checked for every ring; all are theorems.
 PROPERTY_NAMES = (
@@ -43,6 +80,23 @@ PROPERTY_NAMES = (
     "tcdeg",
     "closed_reflexive_principal",
     "herzog",
+)
+
+CSV_COLUMNS = (
+    "genus",
+    "generators",
+    "frobenius",
+    "type",
+    "e0",
+    "cdeg",
+    "ddeg",
+    "tdeg",
+    "canonical_index",
+    "gorenstein",
+    "almost_gorenstein",
+    "conjecture_ok",
+    "tcdeg_ok",
+    "herzog_ok",
 )
 
 
@@ -63,13 +117,23 @@ class SweepConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
 
-def _child_generators(S: NumericalSemigroup, removed: int) -> list[int]:
+def _child_generators(generators: tuple[int, ...], removed: int) -> list[int]:
     """A generating set of S minus one minimal generator above the Frobenius."""
-    gens = set(S.generators)
+    gens = set(generators)
     gens.discard(removed)
-    gens.update(removed + g for g in S.generators)
+    gens.update(removed + g for g in generators)
     gens.update((2 * removed, 3 * removed))
     return sorted(gens)
+
+
+def _children(generators: tuple[int, ...], frobenius: int) -> list[NumericalSemigroup]:
+    """The children in the tree of the semigroup with these minimal
+    generators and Frobenius number, by increasing removed generator."""
+    return [
+        NumericalSemigroup(_child_generators(generators, m))
+        for m in generators
+        if m > frobenius
+    ]
 
 
 def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
@@ -84,14 +148,32 @@ def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
     while stack:
         S = stack.pop()
         yield S
-        if S.genus >= max_genus:
-            continue
-        children = [
-            NumericalSemigroup(_child_generators(S, m))
-            for m in S.generators
-            if m > S.frobenius
-        ]
-        stack.extend(reversed(children))
+        if S.genus < max_genus:
+            stack.extend(reversed(_children(S.generators, S.frobenius)))
+
+
+def _walk_levels(max_genus: int, node: Callable, mapper: Callable = map) -> Iterator:
+    """The values of node over the tree up to max_genus, level by level.
+
+    ``node(gens, expand=...)`` returns a value and, when asked to expand,
+    the generator tuples of the children of the semigroup ``gens``.
+    Values come genus by genus, by generators within a genus.  ``mapper``
+    is ``map`` or an ordered parallel map of the same shape.
+    """
+    level = [(1,)]
+    for genus in range(max_genus + 1):
+        children = []
+        for value, kids in mapper(partial(node, expand=genus < max_genus), level):
+            children.extend(kids)
+            yield value
+        level = sorted(children)
+
+
+def _sweep_node(gens: tuple[int, ...], check_herzog: bool, expand: bool) -> tuple[dict, list]:
+    """One ring's row, and its children's generators if asked to expand."""
+    row = evaluate_ring(gens, check_herzog)
+    kids = [T.generators for T in _children(gens, row["frobenius"])] if expand else []
+    return row, kids
 
 
 def evaluate_ring(gens: tuple[int, ...], check_herzog: bool = False) -> dict:
@@ -151,12 +233,17 @@ def evaluate_ring(gens: tuple[int, ...], check_herzog: bool = False) -> dict:
 
 @dataclass
 class SweepReport:
+    """A sweep's summary: counts, tallies and findings, without the rows."""
+
     config: SweepConfig
-    genus_counts: dict[int, int]
-    rows: list[dict]
-    properties: dict[str, dict]
-    ddeg_one_census: dict[str, int]
-    conjecture: dict | None
+    genus_counts: dict[int, int] = field(default_factory=dict)
+    properties: dict[str, dict] = field(
+        default_factory=lambda: {name: {"checked": 0, "failures": []} for name in PROPERTY_NAMES}
+    )
+    ddeg_one_census: dict[str, int] = field(
+        default_factory=lambda: {"almost_gorenstein": 0, "other": 0}
+    )
+    conjecture: dict | None = None
     herzog_no_orientation: list[list[int]] = field(default_factory=list)
     herzog_candidate_census: dict[str, int] = field(default_factory=dict)
 
@@ -166,130 +253,138 @@ class SweepReport:
     def has_counterexamples(self) -> bool:
         return bool(self.conjecture and self.conjecture["counterexamples"])
 
-    def to_json_str(self) -> str:
+    def add(self, row: dict) -> None:
+        """Count one ring's row into the tallies."""
+        self.genus_counts[row["genus"]] = self.genus_counts.get(row["genus"], 0) + 1
+        for name in PROPERTY_NAMES:
+            verdict = row["properties"][name]
+            if verdict is None:
+                continue
+            self.properties[name]["checked"] += 1
+            if not verdict:
+                self.properties[name]["failures"].append(list(row["generators"]))
+        if row.get("herzog_note") == "no_valid_orientation":
+            self.herzog_no_orientation.append(list(row["generators"]))
+        realized = row.get("herzog_cdeg_realized")
+        if realized:
+            census = self.herzog_candidate_census
+            census[realized] = census.get(realized, 0) + 1
+        if row["ddeg"] == 1:
+            key = "almost_gorenstein" if row["almost_gorenstein"] else "other"
+            self.ddeg_one_census[key] += 1
+        if self.conjecture is not None and not row["conjecture_ok"]:
+            self.conjecture["counterexamples"].append(row)
+
+    def render(self) -> str:
+        """The report's head: the CSV header line, or the JSON summary.
+
+        The JSON head ends with the opening bracket of ``"rings"``; the
+        rows and the closing brackets follow it (see :func:`run_sweep`).
+        """
+        if self.config.output_format == "csv":
+            return ",".join(CSV_COLUMNS) + "\n"
         payload = {
             "config": asdict(self.config),
             "genus_counts": {str(g): n for g, n in sorted(self.genus_counts.items())},
             "properties": self.properties,
             "ddeg_one_census": self.ddeg_one_census,
             "herzog_no_orientation": self.herzog_no_orientation,
-            "herzog_candidate_census": self.herzog_candidate_census,
+            "herzog_candidate_census": dict(sorted(self.herzog_candidate_census.items())),
             "conjecture": self.conjecture,
-            "rings": self.rows,
+            "rings": [],
         }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def to_csv_str(self) -> str:
-        def fmt(value) -> str:
-            if value is None:
-                return "NA"
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            return str(value)
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "genus",
-                "generators",
-                "frobenius",
-                "type",
-                "e0",
-                "cdeg",
-                "ddeg",
-                "tdeg",
-                "canonical_index",
-                "gorenstein",
-                "almost_gorenstein",
-                "conjecture_ok",
-                "tcdeg_ok",
-                "herzog_ok",
-            ]
-        )
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row["genus"],
-                    ";".join(str(g) for g in row["generators"]),
-                    row["frobenius"],
-                    row["type"],
-                    row["multiplicity"],
-                    row["cdeg"],
-                    row["ddeg"],
-                    row["tdeg"],
-                    row["canonical_index"],
-                    fmt(row["gorenstein"]),
-                    fmt(row["almost_gorenstein"]),
-                    fmt(row["conjecture_ok"]),
-                    fmt(row["properties"]["tcdeg"]),
-                    fmt(row["properties"]["herzog"]),
-                ]
-            )
-        return buf.getvalue()
-
-    def render(self) -> str:
-        return self.to_json_str() if self.config.output_format == "json" else self.to_csv_str()
+        return json.dumps(payload, indent=2)[: -len("]\n}")]
 
 
-def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Evaluate every ring up to the genus bound and aggregate the results."""
+def _csv_value(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _csv_fields(row: dict) -> list:
+    return [
+        row["genus"],
+        ";".join(str(g) for g in row["generators"]),
+        row["frobenius"],
+        row["type"],
+        row["multiplicity"],
+        row["cdeg"],
+        row["ddeg"],
+        row["tdeg"],
+        row["canonical_index"],
+        _csv_value(row["gorenstein"]),
+        _csv_value(row["almost_gorenstein"]),
+        _csv_value(row["conjecture_ok"]),
+        _csv_value(row["properties"]["tcdeg"]),
+        _csv_value(row["properties"]["herzog"]),
+    ]
+
+
+def _json_item(row: dict, first: bool) -> str:
+    """One element of the ``"rings"`` list, as json.dumps(indent=2) nests it."""
+    text = json.dumps(row, indent=2).replace("\n", "\n    ")
+    return ("\n    " if first else ",\n    ") + text
+
+
+def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
+    """Evaluate every ring up to the genus bound, write the report to out.
+
+    Returns the summary.  out is replaced only when the whole sweep
+    succeeded; on any error it is left as it was.
+    """
     cfg.validate()
-    inputs = [S.generators for S in enumerate_semigroups(cfg.max_genus)]
-
-    work = partial(evaluate_ring, check_herzog=cfg.check_herzog)
+    out = os.fspath(out)
+    report = SweepReport(
+        cfg,
+        conjecture={"statement": "cdeg >= ddeg", "counterexamples": []}
+        if cfg.check_conjecture
+        else None,
+    )
+    # Beside out, so that the final rename stays on one file system.
+    tmp = f"{out}.{os.getpid()}.tmp"
+    spool = f"{out}.{os.getpid()}.rows.tmp"
+    node = partial(_sweep_node, check_herzog=cfg.check_herzog)
     # More workers than CPUs only add processes; the report still echoes
     # the requested parallelism.
     workers = min(cfg.parallelism, os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, len(inputs) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, inputs, chunksize=chunk))
-    else:
-        rows = [work(gens) for gens in inputs]
+    try:
+        with ExitStack() as stack:
+            mapper = map
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                # on an error, drop the rest of the level instead of finishing it
+                stack.callback(pool.shutdown, cancel_futures=True)
 
-    rows.sort(key=lambda r: (r["genus"], tuple(r["generators"])))
+                def mapper(fn, level):
+                    # about four tasks per worker and level: every level
+                    # ends in a barrier, and on the small levels more
+                    # tasks cost more round trips than they balance
+                    chunk = min(MAX_CHUNK, math.ceil(len(level) / (workers * 4)))
+                    return pool.map(fn, level, chunksize=chunk)
 
-    genus_counts: dict[int, int] = {}
-    properties = {
-        name: {"checked": 0, "failures": []} for name in PROPERTY_NAMES
-    }
-    census = {"almost_gorenstein": 0, "other": 0}
-    candidate_census: dict[str, int] = {}
-    counterexamples = []
-    no_orientation = []
-    for row in rows:
-        genus_counts[row["genus"]] = genus_counts.get(row["genus"], 0) + 1
-        for name in PROPERTY_NAMES:
-            verdict = row["properties"][name]
-            if verdict is None:
-                continue
-            properties[name]["checked"] += 1
-            if not verdict:
-                properties[name]["failures"].append(list(row["generators"]))
-        if row.get("herzog_note") == "no_valid_orientation":
-            no_orientation.append(list(row["generators"]))
-        realized = row.get("herzog_cdeg_realized")
-        if realized:
-            candidate_census[realized] = candidate_census.get(realized, 0) + 1
-        if row["ddeg"] == 1:
-            key = "almost_gorenstein" if row["almost_gorenstein"] else "other"
-            census[key] += 1
-        if cfg.check_conjecture and not row["conjecture_ok"]:
-            counterexamples.append(row)
-
-    conjecture = (
-        {"statement": "cdeg >= ddeg", "counterexamples": counterexamples}
-        if cfg.check_conjecture
-        else None
-    )
-    return SweepReport(
-        config=cfg,
-        genus_counts=genus_counts,
-        rows=rows,
-        properties=properties,
-        ddeg_one_census=census,
-        conjecture=conjecture,
-        herzog_no_orientation=no_orientation,
-        herzog_candidate_census=dict(sorted(candidate_census.items())),
-    )
+            rows = _walk_levels(cfg.max_genus, node, mapper)
+            fh = stack.enter_context(open(tmp, "w", encoding="utf-8"))
+            if cfg.output_format == "csv":
+                fh.write(report.render())
+                writer = csv.writer(fh, lineterminator="\n")
+                for row in rows:
+                    report.add(row)
+                    writer.writerow(_csv_fields(row))
+            else:
+                with open(spool, "w+", encoding="utf-8") as sp:
+                    for i, row in enumerate(rows):
+                        report.add(row)
+                        sp.write(_json_item(row, first=i == 0))
+                    fh.write(report.render())
+                    sp.seek(0)
+                    shutil.copyfileobj(sp, fh, 1 << 20)
+                fh.write("\n  ]\n}\n")
+        os.replace(tmp, out)
+    finally:
+        for path in (tmp, spool):
+            if os.path.exists(path):
+                os.unlink(path)
+    return report

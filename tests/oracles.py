@@ -130,3 +130,15 @@ def count_semigroups_of_genus(genus: int) -> int:
         if ok:
             count += 1
     return count
+
+
+
+def socle_quotient_set(s_elems: set[int], e_elems: set[int], me_elems: set[int], c: int) -> int | None:
+    """|E minus (c + S)| if M + E lies inside c + S, else None.
+
+    ``me_elems`` is M + E.  The sets must be complete below a bound past
+    the conductors of E and of c + S.
+    """
+    if any(z - c not in s_elems for z in me_elems):
+        return None
+    return sum(1 for x in e_elems if x - c not in s_elems)

@@ -5,8 +5,10 @@ All checks are exact integer comparisons; the only tolerances are the
 stated wall-clock budgets.
 """
 
+import json
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,11 +34,19 @@ def _line(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def sweep12():
+def sweep12(tmp_path_factory):
+    """The genus <= 12 sweep's summary, with its rows read back from the report."""
+    path = tmp_path_factory.mktemp("sweep12") / "report.json"
     t0 = time.perf_counter()
-    report = run_sweep(SweepConfig(max_genus=12, check_conjecture=True))
-    report.elapsed = time.perf_counter() - t0
-    return report
+    report = run_sweep(SweepConfig(max_genus=12, check_conjecture=True, output_format="json"), path)
+    elapsed = time.perf_counter() - t0
+    rows = json.loads(path.read_text())["rings"]
+    return SimpleNamespace(
+        rows=rows,
+        genus_counts=report.genus_counts,
+        conjecture=report.conjecture,
+        elapsed=elapsed,
+    )
 
 
 @pytest.fixture(scope="module")

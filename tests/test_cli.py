@@ -177,8 +177,8 @@ def test_sweep_exit_codes(tmp_path, capsys, monkeypatch):
 
     real = cli_mod.run_sweep
 
-    def with_property_failure(cfg):
-        report = real(cfg)
+    def with_property_failure(cfg, out):
+        report = real(cfg, out)
         report.properties["vanishing"]["failures"].append([9, 9])
         return report
 
@@ -186,22 +186,69 @@ def test_sweep_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "sweep", "--max-genus", "2", "--out", str(tmp_path / "a.csv"))
     assert code == 3
 
-    def with_counterexample(cfg):
-        report = real(cfg)
-        report.conjecture["counterexamples"].append(report.rows[0])
+    def with_counterexample(cfg, out):
+        report = real(cfg, out)
+        with open(out, newline="") as fh:
+            first_row = next(csv.DictReader(fh))
+        report.conjecture["counterexamples"].append(first_row)
         return report
 
     monkeypatch.setattr(cli_mod, "run_sweep", with_counterexample)
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "sweep", "--max-genus", "2", "--check-conjecture",
         "--out", str(tmp_path / "b.csv"),
     )
     assert code == 0  # counterexamples alone are data
+    assert "conjecture cdeg >= ddeg: 1 counterexample(s)" in out
     code, _, _ = run(
         capsys, "sweep", "--max-genus", "2", "--check-conjecture",
         "--strict-conjecture", "--out", str(tmp_path / "c.csv"),
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_sweep_leaves_out_unchanged(tmp_path, capsys, monkeypatch, fmt, jobs):
+    import nsdeg.sweep as sweep_mod
+    from nsdeg.errors import InternalInvariantViolation
+
+    real = sweep_mod.evaluate_ring
+    seen = []
+
+    # In-process, the 20th ring fails; forked workers inherit the patch
+    # but count apart, so there the ring <5,7,9> (genus 8) fails.
+    def failing(gens, check_herzog=False):
+        seen.append(gens)
+        if (jobs == "1" and len(seen) == 20) or tuple(gens) == (5, 7, 9):
+            raise InternalInvariantViolation("planted failure")
+        return real(gens, check_herzog)
+
+    monkeypatch.setattr(sweep_mod, "evaluate_ring", failing)
+    out_path = tmp_path / f"report.{fmt}"
+    out_path.write_bytes(b"an earlier report\n")
+    code, _, err = run(
+        capsys, "sweep", "--max-genus", "9", "--out", str(out_path), "--format", fmt,
+        "--jobs", jobs,
+    )
+    assert code == 2
+    assert "planted failure" in err
+    if jobs == "1":
+        assert len(seen) == 20
+    assert out_path.read_bytes() == b"an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out_path.name]
+
+
+def test_sweep_past_the_genus_cap_is_refused(tmp_path, capsys):
+    from nsdeg.sweep import HARD_MAX_GENUS
+
+    out_path = tmp_path / "report.csv"
+    code, _, err = run(
+        capsys, "sweep", "--max-genus", str(HARD_MAX_GENUS + 1), "--out", str(out_path),
+    )
+    assert code == 1
+    assert "CapExceeded" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_names_flag(capsys):

@@ -24,7 +24,7 @@ from nsdeg.lab import (
 )
 from nsdeg.sweep import enumerate_semigroups
 
-from oracles import semigroup_set, valid_gap_subsets
+from oracles import minkowski, semigroup_set, socle_quotient_set, valid_gap_subsets
 
 S579 = NumericalSemigroup([5, 7, 9])
 S345 = NumericalSemigroup([3, 4, 5])
@@ -63,6 +63,32 @@ def test_socle_witnesses():
     ws = socle_witnesses(canonical_ideal(S345))
     assert (0, 1) in ws
     assert socle_witnesses(canonical_ideal(S579)) == []
+
+
+def test_socle_witnesses_match_plain_sets():
+    # every ideal of every ring of genus <= 8, recounted on plain sets
+    checked = 0
+    for S in enumerate_semigroups(8):
+        if S.conductor == 0:
+            continue
+        m = S.multiplicity
+        bound = 2 * (S.conductor + m) + 2
+        s_elems = semigroup_set(list(S.generators), bound)
+        m_elems = s_elems - {0}
+        for E in enumerate_ideals(S):
+            e_elems = {z for z in range(bound) if z in E}
+            me_elems = minkowski(m_elems, e_elems, bound)
+            want = {c: socle_quotient_set(s_elems, e_elems, me_elems, c) for c in range(m + 3) if c in E}
+            # candidates run up to min(M + E) = m
+            witnesses = [(c, n) for c, n in want.items() if c <= m and n is not None]
+            assert socle_witnesses(E) == witnesses
+            # the plain-set count is shift-invariant; the masks run off min E
+            assert socle_witnesses(E.shift(3)) == [(c + 3, n) for c, n in witnesses]
+            for c in (m, m + 1, m + 2):
+                if c in E:
+                    assert socle_quotient(E, c) == want[c]
+            checked += 1
+    assert checked > 1000
 
 
 def test_is_canonical():

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -35,26 +37,75 @@ def test_tree_no_duplicates():
         seen.add(S.generators)
 
 
-def test_caps():
+def tree_node(gens, expand):
+    S = NumericalSemigroup(gens)
+    return S, [T.generators for T in sweep._children(S.generators, S.frobenius)] if expand else []
+
+
+def test_level_walk_matches_preorder():
+    levels = {}
+    for S in sweep._walk_levels(12, tree_node):
+        # genus by genus, by generators within a genus
+        assert S.genus == max(levels, default=0) or S.genus == max(levels) + 1
+        levels.setdefault(S.genus, []).append(S.generators)
+    assert all(level == sorted(level) for level in levels.values())
+    preorder = {}
+    for S in enumerate_semigroups(12):
+        preorder.setdefault(S.genus, set()).add(S.generators)
+    assert {g: set(level) for g, level in levels.items()} == preorder
+    assert all(len(level) == len(set(level)) for level in levels.values())
+    assert [len(levels[g]) for g in range(7)] == [count_semigroups_of_genus(g) for g in range(7)]
+
+
+# The start of the depth-first preorder; ideal-lab's set-up shuffles
+# strata built in this order, so its default-seed digest depends on it.
+PREORDER_8 = [
+    (1,), (2, 3), (3, 4, 5), (4, 5, 6, 7), (5, 6, 7, 8, 9), (6, 7, 8, 9, 10, 11),
+    (7, 8, 9, 10, 11, 12, 13), (8, 9, 10, 11, 12, 13, 14, 15),
+    (9, 10, 11, 12, 13, 14, 15, 16, 17), (8, 10, 11, 12, 13, 14, 15, 17),
+    (8, 9, 11, 12, 13, 14, 15), (8, 9, 10, 12, 13, 14, 15), (8, 9, 10, 11, 13, 14, 15),
+    (8, 9, 10, 11, 12, 14, 15), (8, 9, 10, 11, 12, 13, 15), (8, 9, 10, 11, 12, 13, 14),
+    (7, 9, 10, 11, 12, 13, 15), (7, 10, 11, 12, 13, 15, 16), (7, 9, 11, 12, 13, 15, 17),
+    (7, 9, 10, 12, 13, 15), (7, 9, 10, 11, 13, 15), (7, 9, 10, 11, 12, 15),
+    (7, 9, 10, 11, 12, 13), (7, 8, 10, 11, 12, 13), (7, 8, 11, 12, 13, 17),
+    (7, 8, 10, 12, 13), (7, 8, 10, 11, 13), (7, 8, 10, 11, 12), (7, 8, 9, 11, 12, 13),
+    (7, 8, 9, 12, 13),
+]
+
+
+def test_preorder_is_pinned():
+    assert [S.generators for S in islice(enumerate_semigroups(8), 30)] == PREORDER_8
+
+
+def test_caps(tmp_path):
     with pytest.raises(CapExceeded):
         list(enumerate_semigroups(41))
     with pytest.raises(CapExceeded):
         list(enumerate_semigroups(0))
     with pytest.raises(CapExceeded):
-        run_sweep(SweepConfig(max_genus=50))
+        run_sweep(SweepConfig(max_genus=50), tmp_path / "report.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_run_sweep_small_all_clean():
-    report = run_sweep(SweepConfig(max_genus=2))
+def sweep_json(tmp_path, **kwargs):
+    """A JSON sweep's summary, its parsed report and its rings."""
+    path = tmp_path / "report.json"
+    report = run_sweep(SweepConfig(output_format="json", **kwargs), path)
+    payload = json.loads(path.read_text())
+    return report, payload, payload["rings"]
+
+
+def test_run_sweep_small_all_clean(tmp_path):
+    report, _, rows = sweep_json(tmp_path, max_genus=2)
     assert sum(report.genus_counts.values()) == 4
     assert not report.has_property_failures()
-    for row in report.rows:
+    for row in rows:
         assert row["gorenstein"] or row["almost_gorenstein"]
 
 
-def test_run_sweep_includes_golden_ring():
-    report = run_sweep(SweepConfig(max_genus=8))
-    row = next(r for r in report.rows if r["generators"] == [5, 7, 9])
+def test_run_sweep_includes_golden_ring(tmp_path):
+    report, _, rows = sweep_json(tmp_path, max_genus=8)
+    row = next(r for r in rows if r["generators"] == [5, 7, 9])
     assert row["genus"] == 8
     assert (row["cdeg"], row["ddeg"], row["almost_gorenstein"]) == (2, 1, False)
     assert not report.has_property_failures()
@@ -62,67 +113,78 @@ def test_run_sweep_includes_golden_ring():
     assert report.ddeg_one_census["other"] >= 1
 
 
-def test_conjecture_is_data():
-    report = run_sweep(SweepConfig(max_genus=6, check_conjecture=True))
+def test_conjecture_is_data(tmp_path):
+    report = run_sweep(SweepConfig(max_genus=6, check_conjecture=True), tmp_path / "a.csv")
     assert report.conjecture is not None
     assert report.conjecture["counterexamples"] == []
-    report = run_sweep(SweepConfig(max_genus=6))
+    report = run_sweep(SweepConfig(max_genus=6), tmp_path / "b.csv")
     assert report.conjecture is None
 
 
-def test_herzog_flag():
-    report = run_sweep(SweepConfig(max_genus=8, check_herzog=True))
+def test_herzog_flag(tmp_path):
+    report = run_sweep(SweepConfig(max_genus=8, check_herzog=True), tmp_path / "a.csv")
     tally = report.properties["herzog"]
     assert tally["checked"] > 0
     assert tally["failures"] == []
     # which cdeg candidate is attained is recorded, never interpreted
     assert sum(report.herzog_candidate_census.values()) == tally["checked"]
     assert "neither" not in report.herzog_candidate_census
-    off = run_sweep(SweepConfig(max_genus=8))
+    off = run_sweep(SweepConfig(max_genus=8), tmp_path / "b.csv")
     assert off.properties["herzog"]["checked"] == 0
     assert off.herzog_candidate_census == {}
 
 
-def test_no_orientation_rings_are_surfaced():
-    report = run_sweep(SweepConfig(max_genus=12, check_herzog=True))
+def test_no_orientation_rings_are_surfaced(tmp_path):
+    report, _, rows = sweep_json(tmp_path, max_genus=12, check_herzog=True)
     assert [7, 9, 10] in report.herzog_no_orientation
     assert not report.has_property_failures()
-    row = next(r for r in report.rows if r["generators"] == [7, 9, 10])
+    row = next(r for r in rows if r["generators"] == [7, 9, 10])
     assert row["herzog_note"] == "no_valid_orientation"
     assert row["properties"]["herzog"] is None
 
 
-def test_determinism_and_formats():
+def test_determinism_and_formats(tmp_path):
     cfg = SweepConfig(max_genus=6, check_conjecture=True, output_format="csv")
-    a = run_sweep(cfg).to_csv_str()
-    b = run_sweep(cfg).to_csv_str()
-    assert a == b
+    report = run_sweep(cfg, tmp_path / "a.csv")
+    run_sweep(cfg, tmp_path / "b.csv")
+    a = (tmp_path / "a.csv").read_text()
+    assert a == (tmp_path / "b.csv").read_text()
     lines = a.splitlines()
     assert lines[0] == (
         "genus,generators,frobenius,type,e0,cdeg,ddeg,tdeg,canonical_index,"
         "gorenstein,almost_gorenstein,conjecture_ok,tcdeg_ok,herzog_ok"
     )
     assert lines[1].startswith("0,1,-1,1,1,0,0,0,0,true,true,true,NA,NA")
-    assert len(lines) == 1 + sum(run_sweep(cfg).genus_counts.values())
+    assert len(lines) == 1 + sum(report.genus_counts.values())
 
-    ja = run_sweep(SweepConfig(max_genus=5, output_format="json")).to_json_str()
-    jb = run_sweep(SweepConfig(max_genus=5, output_format="json")).to_json_str()
-    assert ja == jb
-
-
-def test_parallel_runs_match_serial():
-    serial = run_sweep(SweepConfig(max_genus=7, check_conjecture=True))
-    parallel = run_sweep(SweepConfig(max_genus=7, check_conjecture=True, parallelism=2))
-    # everything except the echoed configuration must be byte-identical
-    assert serial.to_csv_str() == parallel.to_csv_str()
-    assert serial.rows == parallel.rows
-    assert serial.properties == parallel.properties
-    assert serial.conjecture == parallel.conjecture
-    assert serial.genus_counts == parallel.genus_counts
+    cfg = SweepConfig(max_genus=5, check_conjecture=True, check_herzog=True, output_format="json")
+    run_sweep(cfg, tmp_path / "a.json")
+    run_sweep(cfg, tmp_path / "b.json")
+    ja = (tmp_path / "a.json").read_text()
+    assert ja == (tmp_path / "b.json").read_text()
+    # the streamed report is what json.dumps makes of the whole payload
+    assert ja == json.dumps(json.loads(ja), indent=2) + "\n"
 
 
-def test_failure_witness_replay():
-    report = run_sweep(SweepConfig(max_genus=8, check_herzog=True))
+def test_parallel_runs_match_serial(tmp_path):
+    for fmt in ("csv", "json"):
+        cfg = SweepConfig(max_genus=7, check_conjecture=True, check_herzog=True, output_format=fmt)
+        serial = run_sweep(cfg, tmp_path / f"serial.{fmt}")
+        parallel = run_sweep(replace(cfg, parallelism=2), tmp_path / f"parallel.{fmt}")
+        assert serial.properties == parallel.properties
+        assert serial.conjecture == parallel.conjecture
+        assert serial.genus_counts == parallel.genus_counts
+        # everything except the echoed parallelism must be byte-identical
+        a = (tmp_path / f"serial.{fmt}").read_bytes()
+        b = (tmp_path / f"parallel.{fmt}").read_bytes()
+        if fmt == "json":
+            assert b.count(b'"parallelism": 2') == 1
+            b = b.replace(b'"parallelism": 2', b'"parallelism": 1')
+        assert a == b
+
+
+def test_failure_witness_replay(tmp_path):
+    report = run_sweep(SweepConfig(max_genus=8, check_herzog=True), tmp_path / "a.csv")
     for tally in report.properties.values():
         for witness in tally["failures"]:
             row = evaluate_ring(tuple(witness), check_herzog=True)
@@ -131,8 +193,8 @@ def test_failure_witness_replay():
             )
 
 
-def test_report_failure_helpers():
-    report = run_sweep(SweepConfig(max_genus=3, check_conjecture=True))
+def test_report_failure_helpers(tmp_path):
+    report = run_sweep(SweepConfig(max_genus=3, check_conjecture=True), tmp_path / "a.csv")
     assert not report.has_property_failures()
     assert not report.has_counterexamples()
     report.properties["vanishing"]["failures"].append([2, 3])
@@ -160,7 +222,7 @@ def test_evaluate_ring_row_shape():
     assert full["properties"]["closed_reflexive_principal"] is None
 
 
-def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
+def test_pool_size_is_clamped_to_cpu_count(monkeypatch, tmp_path):
     # a stand-in executor records its size and maps serially, so no
     # process is started whatever parallelism is requested
     sizes = []
@@ -175,18 +237,25 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
         def map(self, fn, items, chunksize=1):
+            assert 1 <= chunksize <= sweep.MAX_CHUNK
             return map(fn, items)
+
+    def report(name, parallelism):
+        run_sweep(SweepConfig(max_genus=5, output_format="json", parallelism=parallelism), tmp_path / name)
+        return json.loads((tmp_path / name).read_text())
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-    serial = run_sweep(SweepConfig(max_genus=5))
-    report = run_sweep(SweepConfig(max_genus=5, parallelism=64))
+    serial = report("serial.json", 1)
+    pooled = report("pooled.json", 64)
     assert sizes == [2]
-    assert report.rows == serial.rows
-    assert report.to_csv_str() == serial.to_csv_str()
-    assert json.loads(report.to_json_str())["config"]["parallelism"] == 64
+    assert pooled["rings"] == serial["rings"]
+    assert pooled["config"]["parallelism"] == 64
     # an unknown CPU count means one worker, which runs in-process
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
-    assert run_sweep(SweepConfig(max_genus=5, parallelism=3)).rows == serial.rows
+    assert report("unknown.json", 3)["rings"] == serial["rings"]
     assert sizes == [2]

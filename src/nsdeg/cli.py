@@ -26,7 +26,6 @@ from .errors import InternalInvariantViolation, NsdegError
 from .herzog import herzog_consistency
 from .ideals import generate
 from .lab import (
-    DEFAULT_ENUMERATION_CAP,
     enumerate_ideals,
     gap_subset_mask,
     is_closed,
@@ -250,9 +249,7 @@ def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path
 @click.option("--gens", required=True, callback=_parse_positive_list,
               help="Comma-separated semigroup generators.")
 @click.option("--enumerate-ideals", "do_enumerate", is_flag=True, required=True)
-@click.option("--max-genus", "cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-              help="Refuse enumeration above this genus.")
-def lab(gens, do_enumerate, cap):
+def lab(gens, do_enumerate):
     """Profile every normalized relative ideal of a small semigroup (CSV)."""
     S = NumericalSemigroup(gens)
     buf = io.StringIO()
@@ -271,7 +268,7 @@ def lab(gens, do_enumerate, cap):
         ]
     )
     gens_str = ";".join(str(g) for g in S.generators)
-    for E in enumerate_ideals(S, max_genus=cap):
+    for E in enumerate_ideals(S):
         prof = profile_ideal(E)
         writer.writerow(
             [

@@ -153,7 +153,7 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
     K_dual = U.colon(K)
     cd = length_quotient(K, U)
     dd = length_quotient(U.colon(K_dual), K)
-    td = length_quotient(U, K.product(K_dual))
+    td = length_quotient(U, K_dual.product(K))
     ci = reduction(K).reduction_number
     gorenstein = r == 1
 

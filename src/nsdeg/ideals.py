@@ -8,6 +8,13 @@ in normal form: the minimum element (offset), the minimal conductor
 three parts coincide, which makes all the identity checks in the test
 suite exact set comparisons.
 
+Identity up to translation is a comparison of keys: E's key,
+(conductor - offset, window), is the normal form of E - min E, so E is
+a translate of F exactly when their keys are equal.  S's own key is
+(S.conductor, S._window).  Asking whether an ideal is principal, closed
+or canonical, or whether a power has stabilized, therefore builds no
+unit ideal and no translate.
+
 Products and colons run over minimal generators, by the value-set
 identities (Barucci-Dobbs-Fontana, Mem. AMS 1997; Rosales-Garcia-Sanchez,
 Numerical Semigroups, 2009)
@@ -17,10 +24,13 @@ Numerical Semigroups, 2009)
 f ranging over the minimal generators of F.  An ideal's minimal
 generators are E minus (M + E), where M + E is the union of g + E over
 the minimal generators g of S; each ideal computes them once, on first
-use.  An operation thus costs about one shift per generator of one
-factor rather than one per element of its window; the canonical ideal
-K has only type(S) generators.  The reduction loop is bounded by the
-genus of S, a theorem (see :func:`reduction`), not by a fixed count.
+use.  An operation thus costs one shift per generator of its argument
+F rather than one per element of its window, so callers pass the factor
+with fewer generators as the argument: the canonical ideal K has only
+type(S) generators, and its dual has at least as many.  The reduction
+loop multiplies each power by E, so a power's own generators are never
+computed; it is bounded by the genus of S, a theorem (see
+:func:`reduction`), not by a fixed count.
 
 All operations are pure; results are re-normalized and re-validated on
 construction, so a bug in any operation surfaces immediately as an
@@ -129,7 +139,9 @@ class RelativeIdeal:
         return [self.offset + i for i in bit_positions(self._window)]
 
     def shift(self, z: int) -> "RelativeIdeal":
-        """The translate z + E."""
+        """The translate z + E; E itself for z = 0, ideals being immutable."""
+        if z == 0:
+            return self
         return RelativeIdeal(self.ambient, self.offset + z, self._window, self.conductor + z)
 
     # -- lattice and multiplicative operations ---------------------------
@@ -151,8 +163,9 @@ class RelativeIdeal:
     def product(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Ideal product: the Minkowski sum of the two value sets.
 
-        E + F is the union of f + E over the minimal generators f of F,
-        F being whichever factor has fewer of them.
+        E + F is the union of f + E over the minimal generators f of the
+        argument F, one shift each; pass the factor with fewer generators
+        as F.
         """
         self._check_ambient(other)
         start = self.offset + other.offset
@@ -160,12 +173,9 @@ class RelativeIdeal:
         length = tail - start
         if length > _IDEAL_WINDOW_CAP:
             raise Overflow("product window exceeds the size bound")
-        e, f = self, other
-        if len(e._generators()) < len(f._generators()):
-            e, f = f, e
-        emask = e._ext(e.offset + length)
+        emask = self._ext(self.offset + length)
         acc = 0
-        for g in f._generators():
+        for g in other._generators():
             if g >= length:
                 break
             acc |= emask << g
@@ -197,7 +207,7 @@ class RelativeIdeal:
 
     def trace(self) -> "RelativeIdeal":
         """E * (S - E); always lands inside S and is shift-invariant."""
-        return self.product(self.dual())
+        return self.dual().product(self)
 
     def minimal_generators(self) -> list[int]:
         """Minimal G with generate(S, G) = E, namely E minus (M + E)."""
@@ -212,6 +222,10 @@ class RelativeIdeal:
         big = self._ext(stop)
         small = other._ext(stop) << (other.offset - self.offset)
         return not (small & ~big)
+
+    def key(self) -> tuple[int, int]:
+        """Normal form of E - min E: equal keys mean translates."""
+        return self.conductor - self.offset, self._window
 
     def to_dict(self) -> dict:
         return {
@@ -318,7 +332,9 @@ def reduction(ideal: RelativeIdeal) -> ReductionData:
 
     Returns the least r >= 0 with E^(r+1) = a + E^r as value sets; the
     stabilization is re-verified one step further.  Each power is one
-    product over the generators of E (or of the power, if it has fewer).
+    product over the generators of E.  min E^n = na, so E^(r+1) is
+    a + E^r exactly when the two have the same key, and E^0 = S has
+    S's key.
 
     r is at most the genus g of S.  The shifted powers E_n = nE - na form
     a chain S = E_0, E_1, ... inside the nonnegative integers: a in E
@@ -328,13 +344,14 @@ def reduction(ideal: RelativeIdeal) -> ReductionData:
     nonnegative integers, so it grows at most g times.  The loop runs
     g + 1 steps; running past them can only be an implementation bug.
     """
-    a = ideal.offset
-    prev = unit_ideal(ideal.ambient)
+    S = ideal.ambient
+    prev = (S.conductor, S._window)
     cur = ideal
-    for r in range(ideal.ambient.genus + 1):
-        if cur == prev.shift(a):
-            if cur.product(ideal) != cur.shift(a):
+    for r in range(S.genus + 1):
+        key = cur.key()
+        if key == prev:
+            if cur.product(ideal).key() != key:
                 raise InternalInvariantViolation("reduction did not stabilize")
-            return ReductionData(a, r)
-        prev, cur = cur, cur.product(ideal)
+            return ReductionData(ideal.offset, r)
+        prev, cur = key, cur.product(ideal)
     raise InternalInvariantViolation("reduction did not stabilize within genus + 1 steps")

@@ -21,6 +21,13 @@ from ._bits import bit_positions, lowest_bit, ones, reverse_bits, runs_of_length
 from .errors import EmptyGenerators, FullSemigroup, GcdNotOne, NotMember, Overflow
 
 #: Hard cap on frobenius + 1; exceeding it is an input error, not a crash.
+#: Budget: one ring at the cap builds and classifies in about a second on
+#: one core and in under 100 MB.  Measured on a 2-vCPU host, Python 3.11:
+#: <1730,1731,1733> (F = 998,209, canonical index 864), the slowest of the
+#: <m, m+1, m+3> rings tried near the cap, takes 0.55 s; <1000,1001>
+#: (F = 998,999, genus 499,500) takes 0.19 s.  Either peaks at 64 MB of
+#: process memory; the gaps tuple of <1000,1001> alone holds 18 MB, and
+#: each ideal's window 125 kB.
 DEFAULT_WINDOW_CAP = 10**6
 
 _INT64_MAX = 2**63 - 1

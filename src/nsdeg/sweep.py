@@ -41,8 +41,7 @@ from collections.abc import Callable, Iterator
 from .degrees import classify
 from .errors import CapExceeded, NoValidOrientation
 from .herzog import herzog_consistency
-from .ideals import unit_ideal
-from .lab import enumerate_ideals, is_closed, is_reflexive
+from .lab import enumerate_ideals, is_closed, is_principal, is_reflexive
 from .semigroup import NumericalSemigroup
 
 #: The deepest sweep that fits a day of 2 CPUs and 8 GB of parent memory.
@@ -196,13 +195,9 @@ def evaluate_ring(gens: tuple[int, ...], check_herzog: bool = False) -> dict:
     if S.conductor == 0 or S.genus > IDEAL_CHECK_GENUS:
         props["closed_reflexive_principal"] = None
     else:
-        unit = unit_ideal(S)
-        verdict = True
-        for E in enumerate_ideals(S):
-            if E != unit and is_closed(E) and is_reflexive(E):
-                verdict = False
-                break
-        props["closed_reflexive_principal"] = verdict
+        props["closed_reflexive_principal"] = not any(
+            not is_principal(E) and is_closed(E) and is_reflexive(E) for E in enumerate_ideals(S)
+        )
 
     herzog_note = None
     herzog_realized = None

@@ -7,6 +7,7 @@ import pytest
 
 from nsdeg import NumericalSemigroup, classify
 from nsdeg.cli import main
+from nsdeg.lab import DEFAULT_ENUMERATION_CAP
 
 
 def run(capsys, *argv):
@@ -119,6 +120,17 @@ def test_lab_csv(capsys):
     assert rows[0]["gap_subset_mask"] == "0"
     assert rows[0]["principal"] == "true"
     assert [r["gap_subset_mask"] for r in rows] == ["0", "1", "2", "3"]
+
+
+def test_lab_refuses_the_worst_case_past_the_cap(capsys):
+    # all 2**g gap subsets of the ordinary semigroup <g+1, ..., 2g+1> are
+    # ideals, so it is the costliest ring of its genus to enumerate
+    g = DEFAULT_ENUMERATION_CAP + 1
+    gens = ",".join(str(x) for x in range(g + 1, 2 * g + 2))
+    code, out, err = run(capsys, "lab", "--gens", gens, "--enumerate-ideals")
+    assert code == 1
+    assert "TooLarge" in err
+    assert out == ""
 
 
 def test_sweep_writes_file(tmp_path, capsys):

@@ -1,0 +1,62 @@
+"""Guards on how many ideals the identity checks build, and on leaks.
+
+Identity questions (principal, closed, canonical, a stabilized power)
+compare translation-invariant keys, so they build no unit ideal and no
+translate; nothing is cached on the semigroup, so no reference cycle
+ties a ring to its ideals.
+"""
+
+import gc
+
+from nsdeg import NumericalSemigroup, classify
+from nsdeg.ideals import RelativeIdeal
+from nsdeg.lab import enumerate_ideals, profile_ideal
+
+
+def _count_constructions(monkeypatch):
+    counter = [0]
+    init = RelativeIdeal.__init__
+
+    def counting(self, *args):
+        counter[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RelativeIdeal, "__init__", counting)
+    return counter
+
+
+def test_constructions_per_profile(monkeypatch):
+    # the enumeration's own ideal, four for E** (two unit ideals and two
+    # colons), E : E, K, M and M + E
+    counter = _count_constructions(monkeypatch)
+    S = NumericalSemigroup([7, 9, 10, 11, 12, 13])
+    profiles = 0
+    for E in enumerate_ideals(S):
+        profile_ideal(E)
+        profiles += 1
+    assert profiles == 97
+    assert counter[0] <= 9 * profiles
+
+
+def test_constructions_per_classify(monkeypatch):
+    # U, K, K*, K** and tr K; one product per reduction step (canonical
+    # index 20) and the re-verified step; six in the change-of-ring check
+    counter = _count_constructions(monkeypatch)
+    rep = classify(NumericalSemigroup([101, 203, 307]))
+    assert rep.canonical_index == 20
+    assert counter[0] <= 32
+
+
+def test_degrees_and_profiles_leave_no_reference_cycles():
+    S = NumericalSemigroup([5, 7, 9])
+    ideals = list(enumerate_ideals(S))
+    gc.collect()
+    gc.disable()
+    try:
+        for gens in ([5, 7, 9], [7, 9, 10], [101, 203, 307]):
+            classify(NumericalSemigroup(gens))
+        for E in ideals:
+            profile_ideal(E)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

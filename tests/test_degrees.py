@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nsdeg import (
@@ -81,6 +83,58 @@ def test_rings_past_a_fixed_step_cap_match_plain_sets(gens, expected):
     k_bidual = colon_set(s, k_dual, -c, c, bound)
     gaps = {z for z in range(c) if z not in s}
     assert (len(k - s), len(k_bidual - k), stable_power_index(gaps, k)) == expected
+
+
+def test_ring_near_the_window_cap():
+    # F = 653,799 is the largest Frobenius number pinned against the
+    # window cap of 10**6; the bound is generous, the run is well under 1 s
+    t0 = time.perf_counter()
+    rep = classify(NumericalSemigroup([1400, 1401, 1403]))
+    assert time.perf_counter() - t0 < 30
+    assert (rep.frobenius, rep.genus, rep.type_r) == (653799, 327366, 2)
+    assert (rep.cdeg, rep.ddeg, rep.canonical_index) == (932, 2, 699)
+
+
+# Counterexamples to cdeg >= ddeg, with their certificates: K minus S
+# (counted by cdeg) and K** minus K (counted by ddeg), K normalized to
+# min K = 0.  Every element of either set lies below the conductor.
+COUNTEREXAMPLES = [
+    (
+        [13, 14, 15, 16, 17, 18, 21, 23], 17, 5,
+        [1, 3, 5, 6, 19, 20, 22, 24],
+        [2, 4, 7, 8, 9, 10, 11, 12, 25],
+    ),
+    (
+        [17, 18, 19, 20, 21, 22, 23, 24, 27, 29, 31], 22, 6,
+        [1, 3, 5, 7, 8, 25, 26, 28, 30, 32],
+        [2, 4, 6, 9, 10, 11, 12, 13, 14, 15, 16, 33],
+    ),
+    (
+        [19, 20, 21, 22, 23, 24, 25, 26, 28, 31, 32, 33, 36], 24, 6,
+        [2, 3, 7, 8, 10, 27, 29, 30, 34, 35],
+        [4, 5, 6, 9, 11, 12, 13, 14, 15, 16, 17, 18, 37],
+    ),
+]
+
+
+@pytest.mark.parametrize("gens, genus, type_r, k_minus_s, bidual_minus_k", COUNTEREXAMPLES)
+def test_conjecture_counterexample_certificates(gens, genus, type_r, k_minus_s, bidual_minus_k):
+    from oracles import colon_set, gaps_of
+
+    gaps = set(gaps_of(gens))
+    frob = max(gaps)
+    bound = 2 * frob + 2 * min(gens)
+    s = {x for x in range(bound) if x not in gaps}
+    k = {x for x in range(bound) if x > frob or frob - x in gaps}
+    k_dual = colon_set(s, k, 0, frob + 1, bound) | set(range(frob + 1, bound))
+    k_bidual = colon_set(s, k_dual, -frob - 1, frob + 1, bound)
+    assert sorted(k - s) == k_minus_s
+    assert sorted(k_bidual - k) == bidual_minus_k
+
+    rep = classify(NumericalSemigroup(gens))
+    assert (rep.genus, rep.type_r) == (genus, type_r)
+    assert (rep.cdeg, rep.ddeg) == (len(k_minus_s), len(bidual_minus_k))
+    assert rep.cdeg < rep.ddeg
 
 
 def test_classify_golden():

@@ -20,11 +20,11 @@ from nsdeg import (
     unit_ideal,
 )
 from nsdeg._bits import bit_positions
-from nsdeg.ideals import RelativeIdeal
+from nsdeg.ideals import ReductionData, RelativeIdeal
 from nsdeg.lab import enumerate_ideals
 from nsdeg.sweep import enumerate_semigroups
 
-from oracles import colon_set, conductor_of, ideal_set, minkowski, semigroup_set
+from oracles import colon_set, conductor_of, ideal_set, minkowski, semigroup_set, stable_power_index
 
 S579 = NumericalSemigroup([5, 7, 9])
 S345 = NumericalSemigroup([3, 4, 5])
@@ -93,6 +93,24 @@ def test_product():
     assert 13 in KK579  # 13 = 2 + 11
     oracle = minkowski(set(elements(K, 60)), set(elements(K, 60)), 60)
     assert set(elements(KK579, 50)) == {z for z in oracle if z < 50}
+
+
+
+@pytest.mark.parametrize("gens", [[3, 4, 5], [5, 7, 9], [4, 7, 10]])
+def test_product_in_both_orders_matches_minkowski(gens):
+    # product shifts by the argument's generators only, so each order
+    # runs a different loop; one factor is translated off min 0
+    S = NumericalSemigroup(gens)
+    ideals = list(enumerate_ideals(S))
+    bound = 2 * S.conductor + 8
+    for E in ideals:
+        e = set(elements(E, bound))
+        for F0 in ideals:
+            F = F0.shift(2)
+            f = set(elements(F, bound))
+            want = minkowski(e, f, bound)
+            assert E.product(F) == F.product(E)
+            assert set(elements(E.product(F), bound)) == want
 
 
 def test_colon():
@@ -168,6 +186,18 @@ def test_reduction_against_power_oracle():
         if {z for z in powers[r + 1] if z < 100} == {z for z in powers[r] if z < 100}
     )
     assert reduction(canonical_ideal(S579)).reduction_number == stab
+
+
+def test_reduction_matches_the_power_oracle_everywhere():
+    # every ideal of every ring of genus <= 7, and a translate of it
+    for S in enumerate_semigroups(7):
+        if S.genus == 0:
+            continue
+        gaps = set(S.gaps)
+        for E in enumerate_ideals(S):
+            want = stable_power_index(gaps, set(elements(E, S.conductor)))
+            assert reduction(E) == ReductionData(0, want), (S, E)
+            assert reduction(E.shift(5)) == ReductionData(5, want), (S, E)
 
 
 def test_reduction_past_the_genus_bound_is_a_bug(monkeypatch):

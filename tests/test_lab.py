@@ -24,7 +24,7 @@ from nsdeg.lab import (
 )
 from nsdeg.sweep import enumerate_semigroups
 
-from oracles import minkowski, semigroup_set, socle_quotient_set, valid_gap_subsets
+from oracles import colon_set, minkowski, semigroup_set, socle_quotient_set, valid_gap_subsets
 
 S579 = NumericalSemigroup([5, 7, 9])
 S345 = NumericalSemigroup([3, 4, 5])
@@ -96,6 +96,31 @@ def test_is_canonical():
     assert is_canonical(K)
     assert is_canonical(K.shift(7))
     assert not is_canonical(maximal_ideal(S579))
+
+
+def test_identity_by_key_matches_plain_sets():
+    # every ideal of every ring of genus <= 8 and a translate of it,
+    # against plain-set statements of the three identities
+    checked = 0
+    for S in enumerate_semigroups(8):
+        if S.conductor == 0:
+            continue
+        frob = S.frobenius
+        bound = 2 * (S.conductor + S.multiplicity) + 8
+        # complete past bound - min F for the translate's negative minimum
+        s_elems = semigroup_set(list(S.generators), 2 * bound)
+        k_elems = {x for x in range(2 * bound) if frob - x not in s_elems}
+        for E in enumerate_ideals(S):
+            for F in (E, E.shift(-3)):
+                lo = F.offset
+                f = {z for z in range(lo, bound) if z in F}
+                top = bound - lo
+                assert is_principal(F) == (f == {lo + x for x in s_elems if lo + x < bound})
+                ends = colon_set(f, f, -1, S.conductor + 1, bound)
+                assert is_closed(F) == (ends == {x for x in s_elems if x <= S.conductor})
+                assert is_canonical(F) == ({z - lo for z in f} == {x for x in k_elems if x < top})
+            checked += 1
+    assert checked > 1000
 
 
 def test_enumerate_small_cases():

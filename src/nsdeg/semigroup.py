@@ -6,10 +6,12 @@ arithmetic; membership below the conductor is stored in a single Python
 int used as a bitset (bit z set  <=>  z in S), and every z at or above
 the conductor is a member by definition.
 
-The construction computes the Frobenius number, gap set, minimal
-generating system and pseudo-Frobenius numbers eagerly; instances are
-immutable after construction and safe to share between threads or
-processes.
+The construction computes the Frobenius number, the genus (by counting
+the window's set bits), the minimal generating system and the
+pseudo-Frobenius numbers; the gaps are listed from the window only when
+asked for, so a ring of genus in the hundreds of thousands holds one
+int, not a tuple of that many.  Instances are immutable after
+construction and safe to share between threads or processes.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .errors import EmptyGenerators, FullSemigroup, GcdNotOne, NotMember, Overfl
 #: Budget: one ring at the cap builds and classifies in about a second on
 #: one core and in under 100 MB.  Measured on a 2-vCPU host, Python 3.11:
 #: <1730,1731,1733> (F = 998,209, canonical index 864), the slowest of the
-#: <m, m+1, m+3> rings tried near the cap, takes 0.55 s; <1000,1001>
-#: (F = 998,999, genus 499,500) takes 0.19 s.  Either peaks at 64 MB of
-#: process memory; the gaps tuple of <1000,1001> alone holds 18 MB, and
-#: each ideal's window 125 kB.
+#: <m, m+1, m+3> rings tried near the cap, takes 0.45 to 0.68 s; <1000,1001>
+#: (F = 998,999, genus 499,500) takes 0.07 s.  Either peaks at 22 MB of
+#: process memory.  A ring holds its 125 kB window and no list of its
+#: gaps (that list would be 18 MB); each ideal's window is 125 kB.
 DEFAULT_WINDOW_CAP = 10**6
 
 _INT64_MAX = 2**63 - 1
@@ -70,7 +72,6 @@ class NumericalSemigroup:
         "frobenius",
         "conductor",
         "genus",
-        "gaps",
         "multiplicity",
         "embedding_dim",
         "type",
@@ -114,8 +115,7 @@ class NumericalSemigroup:
         self.conductor = conductor
         self.frobenius = conductor - 1
         self._window = mask & ones(conductor)
-        self.gaps = tuple(bit_positions(~self._window & ones(conductor)))
-        self.genus = len(self.gaps)
+        self.genus = conductor - self._window.bit_count()
 
         if conductor == 0:
             mingens: tuple[int, ...] = (1,)
@@ -162,6 +162,11 @@ class NumericalSemigroup:
         return self.contains(z)
 
     # -- classical invariants ------------------------------------------
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps, ascending; listed from the window on each access."""
+        return tuple(bit_positions(~self._window & ones(self.conductor)))
 
     def apery_set(self, n: int) -> list[int]:
         """Smallest element of S in each residue class mod n, sorted.

@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from collections.abc import Callable, Iterator
 
+from ._bits import bit_positions, ones
 from .degrees import classify
 from .errors import CapExceeded, NoValidOrientation
 from .herzog import herzog_consistency
@@ -48,14 +49,15 @@ from .semigroup import NumericalSemigroup
 #:
 #: n_g, the number of semigroups of genus g (OEIS A007323), grows about
 #: like the golden ratio per genus: n_32 = 15,195,070, n_33 = 24,896,206,
-#: n_34 = 40,761,087, n_35 = 66,687,201.  Both budgets are scaled from a
-#: genus <= 22 JSON sweep with --jobs 2 (2 vCPUs, Python 3.11.7): 39.9 s
-#: on a busy host, 28.2 s on a quiet one; the slower run sets the rates.
+#: n_34 = 40,761,087, n_35 = 66,687,201.  Both budgets are scaled from
+#: two genus <= 22 JSON sweeps with --jobs 2 (2 vCPUs, Python 3.11.7),
+#: of 46.5 and 46.2 s.
 #:
-#: Time: levels 18 to 22 took 13 to 16 s per 100,000 rings, about
-#: 7.4 us x g per ring at genus g, so a sweep to genus G takes the sum
-#: over g <= G of n_g x 7.4 us x g: 4.1 h for G = 33, 7.0 h for 34, 20 h
-#: for 36 and 33 h for 37.  The day allows G <= 36.
+#: Time: levels 20 to 22 took 15.7 to 18.6 s per 100,000 rings, 7.1 to
+#: 8.9 us x g per ring at genus g.  At 8.6 us x g, near the top of that
+#: range, a sweep to genus G takes the sum over g <= G of
+#: n_g x 8.6 us x g: 4.8 h for G = 33, 8.1 h for 34, 23 h for 36 and
+#: 39 h for 37.  The day allows G <= 36.
 #:
 #: Memory: at its peak the parent holds the generator tuples of levels
 #: G - 1 and G.  A tuple of e generators costs 56 + 8e bytes, plus 16
@@ -116,23 +118,33 @@ class SweepConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
 
-def _child_generators(generators: tuple[int, ...], removed: int) -> list[int]:
-    """A generating set of S minus one minimal generator above the Frobenius."""
-    gens = set(generators)
-    gens.discard(removed)
-    gens.update(removed + g for g in generators)
-    gens.update((2 * removed, 3 * removed))
-    return sorted(gens)
+def _children(S: NumericalSemigroup) -> list[tuple[int, ...]]:
+    """The minimal generators of the children of S in the tree, by
+    increasing removed generator, by mask arithmetic on S's window.
 
-
-def _children(generators: tuple[int, ...], frobenius: int) -> list[NumericalSemigroup]:
-    """The children in the tree of the semigroup with these minimal
-    generators and Frobenius number, by increasing removed generator."""
-    return [
-        NumericalSemigroup(_child_generators(generators, m))
-        for m in generators
-        if m > frobenius
-    ]
+    Removing a minimal generator m > F leaves T = S minus {m}: its
+    conductor is m + 1, its window is S's with [c, m) filled in, and its
+    multiplicity is S's unless m was it.  T's minimal generators are its
+    positive elements below span = m + 1 + multiplicity that are not a
+    positive element of T plus a generator of T.  T is generated by
+    (G minus {m}), m + G and 3m; a generator h moves the positive
+    elements to multiplicity + h and up, below the span only if h <= m,
+    so the generators that count are those of S below m.
+    """
+    window, c, mu, gens = S._window, S.conductor, S.multiplicity, S.generators
+    kids = []
+    for m in gens:
+        if m < c:  # children remove only generators above F = c - 1
+            continue
+        kid_mu = m + 1 if m == mu else mu
+        positives = (window | ones(m - c) << c | ones(kid_mu) << (m + 1)) & ~1
+        sums = 0
+        for g in gens:
+            if g >= m:
+                break
+            sums |= positives << g
+        kids.append(tuple(bit_positions(positives & ~sums)))
+    return kids
 
 
 def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
@@ -143,12 +155,12 @@ def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
     """
     if not 1 <= max_genus <= HARD_MAX_GENUS:
         raise CapExceeded(f"max_genus must lie in [1, {HARD_MAX_GENUS}]")
-    stack = [NumericalSemigroup([1])]
+    stack = [(1,)]
     while stack:
-        S = stack.pop()
+        S = NumericalSemigroup(stack.pop())
         yield S
         if S.genus < max_genus:
-            stack.extend(reversed(_children(S.generators, S.frobenius)))
+            stack.extend(reversed(_children(S)))
 
 
 def _walk_levels(max_genus: int, node: Callable, mapper: Callable = map) -> Iterator:
@@ -170,14 +182,12 @@ def _walk_levels(max_genus: int, node: Callable, mapper: Callable = map) -> Iter
 
 def _sweep_node(gens: tuple[int, ...], check_herzog: bool, expand: bool) -> tuple[dict, list]:
     """One ring's row, and its children's generators if asked to expand."""
-    row = evaluate_ring(gens, check_herzog)
-    kids = [T.generators for T in _children(gens, row["frobenius"])] if expand else []
-    return row, kids
-
-
-def evaluate_ring(gens: tuple[int, ...], check_herzog: bool = False) -> dict:
-    """Degree report plus property verdicts for one ring, as a plain dict."""
     S = NumericalSemigroup(gens)
+    return evaluate_ring(S, check_herzog), _children(S) if expand else []
+
+
+def evaluate_ring(S: NumericalSemigroup, check_herzog: bool = False) -> dict:
+    """Degree report plus property verdicts for one ring, as a plain dict."""
     report = classify(S)
     symmetric = S.conductor == 0 or S.is_symmetric()
 

@@ -230,11 +230,11 @@ def test_failed_sweep_leaves_out_unchanged(tmp_path, capsys, monkeypatch, fmt, j
 
     # In-process, the 20th ring fails; forked workers inherit the patch
     # but count apart, so there the ring <5,7,9> (genus 8) fails.
-    def failing(gens, check_herzog=False):
-        seen.append(gens)
-        if (jobs == "1" and len(seen) == 20) or tuple(gens) == (5, 7, 9):
+    def failing(S, check_herzog=False):
+        seen.append(S.generators)
+        if (jobs == "1" and len(seen) == 20) or S.generators == (5, 7, 9):
             raise InternalInvariantViolation("planted failure")
-        return real(gens, check_herzog)
+        return real(S, check_herzog)
 
     monkeypatch.setattr(sweep_mod, "evaluate_ring", failing)
     out_path = tmp_path / f"report.{fmt}"
@@ -294,3 +294,23 @@ def test_help_exits_clean(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "sweep" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nsdeg
+
+    # from a source checkout: nsdeg is importable only through PYTHONPATH
+    src = str(Path(nsdeg.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsdeg", "info", "--gens", "5,7,9"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    code, out, _ = run(capsys, "info", "--gens", "5,7,9")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert "gaps: 1,2,3,4,6,8,11,13" in out

@@ -1,27 +1,29 @@
-"""Guards on how many ideals the identity checks build, and on leaks.
+"""Guards on how many ideals and semigroups the checks build, and on leaks.
 
 Identity questions (principal, closed, canonical, a stabilized power)
 compare translation-invariant keys, so they build no unit ideal and no
 translate; nothing is cached on the semigroup, so no reference cycle
-ties a ring to its ideals.
+ties a ring to its ideals.  A sweep builds each ring once per visit and
+its children's generators by mask arithmetic, not by construction.
 """
 
 import gc
+from functools import partial
 
-from nsdeg import NumericalSemigroup, classify
+from nsdeg import NumericalSemigroup, classify, sweep
 from nsdeg.ideals import RelativeIdeal
 from nsdeg.lab import enumerate_ideals, profile_ideal
 
 
-def _count_constructions(monkeypatch):
+def _count_constructions(monkeypatch, cls=RelativeIdeal):
     counter = [0]
-    init = RelativeIdeal.__init__
+    init = cls.__init__
 
     def counting(self, *args):
         counter[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(RelativeIdeal, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return counter
 
 
@@ -45,6 +47,15 @@ def test_constructions_per_classify(monkeypatch):
     rep = classify(NumericalSemigroup([101, 203, 307]))
     assert rep.canonical_index == 20
     assert counter[0] <= 32
+
+
+def test_semigroups_per_swept_ring(monkeypatch):
+    # the ring itself and the ring of M : M in the change-of-ring check
+    counter = _count_constructions(monkeypatch, NumericalSemigroup)
+    node = partial(sweep._sweep_node, check_herzog=False)
+    rings = sum(1 for _ in sweep._walk_levels(12, node))
+    assert rings == 1413
+    assert counter[0] <= 2 * rings
 
 
 def test_degrees_and_profiles_leave_no_reference_cycles():

@@ -190,3 +190,29 @@ def test_gaps_match_oracle(gens):
         return
     S = NumericalSemigroup(gens)
     assert list(S.gaps) == gaps_of(list(gens))
+
+
+def test_genus_counts_the_gaps():
+    # bound 64 passes conductor + multiplicity (at most 2g + g + 1) for g <= 12
+    for S in enumerate_semigroups(12):
+        oracle = gaps_of(list(S.generators), 64)
+        assert S.genus == len(S.gaps) == len(oracle)
+        assert isinstance(S.gaps, tuple)
+        assert S.gaps == tuple(oracle)
+
+
+def test_two_generated_ring_near_the_cap_holds_no_gap_list():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        S = NumericalSemigroup([1000, 1001])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the membership window alone is 125 kB; a tuple of the gaps is 18 MB
+    assert held < 1 << 20
+    oracle = gaps_of([1000, 1001], 1_001_000)
+    assert S.genus == len(S.gaps) == len(oracle) == 499_500
+    assert S.gaps == tuple(oracle)

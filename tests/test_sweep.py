@@ -39,7 +39,23 @@ def test_tree_no_duplicates():
 
 def tree_node(gens, expand):
     S = NumericalSemigroup(gens)
-    return S, [T.generators for T in sweep._children(S.generators, S.frobenius)] if expand else []
+    return S, sweep._children(S) if expand else []
+
+
+def test_children_match_the_full_constructor():
+    # below 2m + 2 lie all minimal generators of S minus {m}, whose
+    # conductor is m + 1 and whose multiplicity is at most m + 1
+    children = 0
+    for S in enumerate_semigroups(16):
+        expected = [
+            NumericalSemigroup([x for x in range(1, 2 * m + 2) if x in S and x != m]).generators
+            for m in S.generators
+            if m > S.frobenius
+        ]
+        assert sweep._children(S) == expected
+        children += len(expected)
+    # one edge into each semigroup of genus 1 to 17 (OEIS A007323)
+    assert children == 19_814
 
 
 def test_level_walk_matches_preorder():
@@ -187,7 +203,7 @@ def test_failure_witness_replay(tmp_path):
     report = run_sweep(SweepConfig(max_genus=8, check_herzog=True), tmp_path / "a.csv")
     for tally in report.properties.values():
         for witness in tally["failures"]:
-            row = evaluate_ring(tuple(witness), check_herzog=True)
+            row = evaluate_ring(NumericalSemigroup(witness), check_herzog=True)
             assert not all(
                 v for v in row["properties"].values() if v is not None
             )
@@ -204,7 +220,7 @@ def test_report_failure_helpers(tmp_path):
 
 
 def test_evaluate_ring_row_shape():
-    row = evaluate_ring((5, 7, 9), check_herzog=True)
+    row = evaluate_ring(NumericalSemigroup([5, 7, 9]), check_herzog=True)
     assert row["type"] == 2
     assert row["conjecture_ok"] is True
     assert set(row["properties"]) == {
@@ -217,7 +233,7 @@ def test_evaluate_ring_row_shape():
         "herzog",
     }
     assert row["properties"]["herzog"] is True
-    full = evaluate_ring((1,))
+    full = evaluate_ring(NumericalSemigroup([1]))
     assert full["properties"]["tcdeg"] is None
     assert full["properties"]["closed_reflexive_principal"] is None
 

@@ -50,6 +50,9 @@ def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
 
     T = M - M is a ring containing S, so T's positive generators as an
     S-module together with the generators of S generate T as a semigroup.
+    The colon has already computed T's window and conductor, so the
+    semigroup is built from them, with no closure or run search; the
+    window constructor checks that it is closed under those generators.
     """
     if S.conductor == 0:
         raise FullSemigroup("M - M is undefined for the full semigroup")
@@ -57,7 +60,9 @@ def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
     T = M.colon(M)
     if T.offset != 0:
         raise InternalInvariantViolation("M - M does not contain 0")
-    return NumericalSemigroup([*T.minimal_generators()[1:], *S.generators])
+    return NumericalSemigroup._from_window(
+        T._window, T.conductor, [*T.minimal_generators()[1:], *S.generators]
+    )
 
 
 @dataclass(frozen=True)

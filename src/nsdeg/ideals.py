@@ -48,12 +48,8 @@ from .errors import (
     EmptyGenerators,
     InternalInvariantViolation,
     NotContained,
-    Overflow,
 )
 from .semigroup import NumericalSemigroup
-
-#: Guard on intermediate window lengths (ideal powers etc.).
-_IDEAL_WINDOW_CAP = 10**7
 
 
 class RelativeIdeal:
@@ -147,7 +143,7 @@ class RelativeIdeal:
     # -- lattice and multiplicative operations ---------------------------
 
     def _check_ambient(self, other: "RelativeIdeal") -> None:
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise AmbientMismatch("ideals live over different ambient semigroups")
 
     def union(self, other: "RelativeIdeal") -> "RelativeIdeal":
@@ -166,13 +162,15 @@ class RelativeIdeal:
         E + F is the union of f + E over the minimal generators f of the
         argument F, one shift each; pass the factor with fewer generators
         as F.
+
+        The window needs no size guard: its length is the smaller of the
+        factors' conductor - offset, and every relative ideal E contains
+        min E + S, so conductor - offset <= c(S) <= DEFAULT_WINDOW_CAP.
         """
         self._check_ambient(other)
         start = self.offset + other.offset
         tail = min(self.conductor + other.offset, other.conductor + self.offset)
         length = tail - start
-        if length > _IDEAL_WINDOW_CAP:
-            raise Overflow("product window exceeds the size bound")
         emask = self._ext(self.offset + length)
         acc = 0
         for g in other._generators():
@@ -238,7 +236,7 @@ class RelativeIdeal:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RelativeIdeal)
-            and self.ambient == other.ambient
+            and (self.ambient is other.ambient or self.ambient == other.ambient)
             and self.offset == other.offset
             and self.conductor == other.conductor
             and self._window == other._window

@@ -10,8 +10,11 @@ The construction computes the Frobenius number, the genus (by counting
 the window's set bits), the minimal generating system and the
 pseudo-Frobenius numbers; the gaps are listed from the window only when
 asked for, so a ring of genus in the hundreds of thousands holds one
-int, not a tuple of that many.  Instances are immutable after
-construction and safe to share between threads or processes.
+int, not a tuple of that many.  A semigroup whose window another
+computation already holds (the ring of M : M) is built from that
+window, with the same generator pass and no closure or run search.
+Instances are immutable after construction and safe to share between
+threads or processes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ import math
 from collections.abc import Iterable
 
 from ._bits import bit_positions, lowest_bit, ones, reverse_bits, runs_of_length
-from .errors import EmptyGenerators, FullSemigroup, GcdNotOne, NotMember, Overflow
+from .errors import (
+    EmptyGenerators,
+    FullSemigroup,
+    GcdNotOne,
+    InternalInvariantViolation,
+    NotMember,
+    Overflow,
+)
 
 #: Hard cap on frobenius + 1; exceeding it is an input error, not a crash.
 #: Budget: one ring at the cap builds and classifies in about a second on
@@ -112,18 +122,44 @@ class NumericalSemigroup:
         if conductor > DEFAULT_WINDOW_CAP:
             raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
 
+        self._set_window(mask & ones(conductor), conductor, gens)
+
+    @classmethod
+    def _from_window(cls, window: int, conductor: int, gens: list[int]) -> "NumericalSemigroup":
+        """The semigroup whose members below ``conductor`` are the set bits
+        of ``window``, for a semigroup derived from one already built.
+
+        ``gens`` must generate it; ``conductor - 1`` must be a gap.  The
+        window is checked to be closed under adding each of ``gens``, as a
+        relative ideal checks its value set, so a window that is not a
+        semigroup raises InternalInvariantViolation.  Input from outside
+        goes through the full constructor.
+        """
+        missing = ~window & ones(conductor)
+        for g in gens:
+            if (window << g) & missing:
+                raise InternalInvariantViolation(f"window is not closed under adding {g}")
+        S = cls.__new__(cls)
+        S._set_window(window, conductor, gens)
+        return S
+
+    def _set_window(self, window: int, conductor: int, gens: list[int]) -> None:
+        """Every invariant from the window below the conductor and a
+        generating set: the generator and pseudo-Frobenius mask pass."""
         self.conductor = conductor
         self.frobenius = conductor - 1
-        self._window = mask & ones(conductor)
-        self.genus = conductor - self._window.bit_count()
+        self._window = window
+        self.genus = conductor - window.bit_count()
 
         if conductor == 0:
             mingens: tuple[int, ...] = (1,)
         else:
             # A minimal generator is a positive element not of the form
             # s + t with s, t positive; all of them lie below conductor + m.
+            # Any generating set holds m, the multiplicity, as its least.
+            m = min(gens)
             span = conductor + m
-            ext = self._window | (ones(m) << conductor)
+            ext = window | (ones(m) << conductor)
             positives = ext & ~1
             sums = 0
             for g0 in gens:
@@ -142,11 +178,11 @@ class NumericalSemigroup:
             # x is pseudo-Frobenius iff x is a gap and x + g in S for
             # every minimal generator g.
             reach = conductor + mingens[-1]
-            ext = self._window | (ones(reach - conductor) << conductor)
+            ext = window | (ones(reach - conductor) << conductor)
             acc = ones(conductor)
             for g0 in mingens:
                 acc &= ext >> g0
-            self._pf = tuple(bit_positions(acc & ~self._window & ones(conductor)))
+            self._pf = tuple(bit_positions(acc & ~window & ones(conductor)))
             self.type = len(self._pf)
 
     # -- membership ----------------------------------------------------

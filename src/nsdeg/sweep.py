@@ -16,7 +16,10 @@ minimal generators, so the parent holds the generator tuples of one
 level and of the next, never a row it has already written.  Tallies
 are counted as rows arrive.  CSV rows go straight to the output; the
 JSON summary comes before ``"rings"``, so JSON rows are spooled to a
-temporary file beside the output and copied in after the summary.  The
+temporary file beside the output and copied in after the summary.
+JSON rows come from :func:`_json_row`, a writer for the row's one
+shape that writes what ``json.dumps(row, indent=2)`` writes at a
+fraction of its cost; the summary stays on json.dumps.  The
 report is written to a temporary file in the output's directory and
 renamed onto it only once the sweep has succeeded, so a failing sweep
 leaves no partial report behind.
@@ -51,21 +54,22 @@ from .semigroup import NumericalSemigroup
 #: like the golden ratio per genus: n_32 = 15,195,070, n_33 = 24,896,206,
 #: n_34 = 40,761,087, n_35 = 66,687,201.  Both budgets are scaled from
 #: two genus <= 22 JSON sweeps with --jobs 2 (2 vCPUs, Python 3.11.7),
-#: of 46.5 and 46.2 s.
+#: of 38.1 and 34.0 s.
 #:
-#: Time: levels 20 to 22 took 15.7 to 18.6 s per 100,000 rings, 7.1 to
-#: 8.9 us x g per ring at genus g.  At 8.6 us x g, near the top of that
+#: Time: levels 20 to 22 took 12.0 to 15.3 s per 100,000 rings, 5.5 to
+#: 7.5 us x g per ring at genus g.  At 7.5 us x g, the top of that
 #: range, a sweep to genus G takes the sum over g <= G of
-#: n_g x 8.6 us x g: 4.8 h for G = 33, 8.1 h for 34, 23 h for 36 and
-#: 39 h for 37.  The day allows G <= 36.
+#: n_g x 7.5 us x g: 4.2 h for G = 33, 7.1 h for 34, 20 h for 36 and
+#: 34 h for 37.  The day allows G <= 36.
 #:
 #: Memory: at its peak the parent holds the generator tuples of levels
 #: G - 1 and G.  A tuple of e generators costs 56 + 8e bytes, plus 16
 #: for the references to it in the level and chunk lists; the mean e is
 #: about 0.4 g + 1.5 (9.55 at genus 20).  G = 33 needs 40.1 M tuples of
 #: about 190 bytes, 7.6 GB; G = 34 needs 65.7 M of 193 bytes, 12.7 GB.
-#: (The genus <= 22 sweep peaked at 48.7 MB holding 165,440 tuples, under
-#: this estimate.)  8 GB allows G <= 33, the tighter of the two budgets.
+#: (The genus <= 22 sweeps peaked at 45.8 MB holding 165,440 tuples,
+#: under this estimate.)  8 GB allows G <= 33, the tighter of the two
+#: budgets.
 HARD_MAX_GENUS = 33
 #: Ideal-level exhaustive checks run only up to this genus inside sweeps.
 IDEAL_CHECK_GENUS = 10
@@ -328,10 +332,58 @@ def _csv_fields(row: dict) -> list:
     ]
 
 
-def _json_item(row: dict, first: bool) -> str:
-    """One element of the ``"rings"`` list, as json.dumps(indent=2) nests it."""
-    text = json.dumps(row, indent=2).replace("\n", "\n    ")
-    return ("\n    " if first else ",\n    ") + text
+def _json_leaf(value) -> str:
+    """A row's int, bool or None as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+def _json_row(row: dict) -> str:
+    """A row of :func:`evaluate_ring` as ``json.dumps(row, indent=2)``
+    writes it, nested four more spaces as an element of ``"rings"``.
+
+    json.dumps with ``indent`` always runs the pure-Python encoder; this
+    writer knows the row's one shape (the DegreeReport keys, then
+    ``properties`` and ``conjecture_ok``, then the optional Herzog keys)
+    and writes it from one template, byte for byte the same.
+    """
+    ideal = row["idealization"]
+    tc = row["tcdeg"]
+    tcdeg = "null" if tc is None else (
+        f'{{\n        "lhs": {tc["lhs"]},\n        "rhs": {tc["rhs"]},\n'
+        f'        "equal": {_json_leaf(tc["equal"])}\n      }}'
+    )
+    gens = ",\n        ".join(map(str, row["generators"]))
+    props = ",\n        ".join([f'"{k}": {_json_leaf(v)}' for k, v in row["properties"].items()])
+    text = (
+        f'{{\n      "generators": [\n        {gens}\n      ],\n'
+        f'      "frobenius": {row["frobenius"]},\n'
+        f'      "genus": {row["genus"]},\n'
+        f'      "multiplicity": {row["multiplicity"]},\n'
+        f'      "embedding_dim": {row["embedding_dim"]},\n'
+        f'      "type": {row["type"]},\n'
+        f'      "cdeg": {row["cdeg"]},\n'
+        f'      "ddeg": {row["ddeg"]},\n'
+        f'      "tdeg": {row["tdeg"]},\n'
+        f'      "canonical_index": {row["canonical_index"]},\n'
+        f'      "gorenstein": {_json_leaf(row["gorenstein"])},\n'
+        f'      "almost_gorenstein": {_json_leaf(row["almost_gorenstein"])},\n'
+        f'      "ddeg_is_one": {_json_leaf(row["ddeg_is_one"])},\n'
+        f'      "idealization": {{\n        "cdeg": {_json_leaf(ideal["cdeg"])},\n'
+        f'        "ddeg": {_json_leaf(ideal["ddeg"])}\n      }},\n'
+        f'      "tcdeg": {tcdeg},\n'
+        f'      "properties": {{\n        {props}\n      }},\n'
+        f'      "conjecture_ok": {_json_leaf(row["conjecture_ok"])}'
+    )
+    for key in ("herzog_note", "herzog_cdeg_realized"):
+        if key in row:
+            text += f',\n      "{key}": {json.dumps(row[key])}'
+    return text + "\n    }"
 
 
 def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
@@ -382,7 +434,7 @@ def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
                 with open(spool, "w+", encoding="utf-8") as sp:
                     for i, row in enumerate(rows):
                         report.add(row)
-                        sp.write(_json_item(row, first=i == 0))
+                        sp.write(("\n    " if i == 0 else ",\n    ") + _json_row(row))
                     fh.write(report.render())
                     sp.seek(0)
                     shutil.copyfileobj(sp, fh, 1 << 20)

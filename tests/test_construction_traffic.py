@@ -15,15 +15,15 @@ from nsdeg.ideals import RelativeIdeal
 from nsdeg.lab import enumerate_ideals, profile_ideal
 
 
-def _count_constructions(monkeypatch, cls=RelativeIdeal):
+def _count_constructions(monkeypatch, cls=RelativeIdeal, name="__init__"):
     counter = [0]
-    init = cls.__init__
+    construct = getattr(cls, name)
 
-    def counting(self, *args):
+    def counting(*args):
         counter[0] += 1
-        init(self, *args)
+        return construct(*args)
 
-    monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(cls, name, counting)
     return counter
 
 
@@ -50,12 +50,15 @@ def test_constructions_per_classify(monkeypatch):
 
 
 def test_semigroups_per_swept_ring(monkeypatch):
-    # the ring itself and the ring of M : M in the change-of-ring check
-    counter = _count_constructions(monkeypatch, NumericalSemigroup)
+    # the ring itself from its generators, and the ring of M : M in the
+    # change-of-ring check from its window
+    full = _count_constructions(monkeypatch, NumericalSemigroup)
+    windowed = _count_constructions(monkeypatch, NumericalSemigroup, "_from_window")
     node = partial(sweep._sweep_node, check_herzog=False)
     rings = sum(1 for _ in sweep._walk_levels(12, node))
     assert rings == 1413
-    assert counter[0] <= 2 * rings
+    assert full[0] <= rings
+    assert windowed[0] <= rings
 
 
 def test_degrees_and_profiles_leave_no_reference_cycles():

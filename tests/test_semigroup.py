@@ -5,11 +5,14 @@ from nsdeg import (
     EmptyGenerators,
     FullSemigroup,
     GcdNotOne,
+    InternalInvariantViolation,
     NotMember,
     NumericalSemigroup,
     Overflow,
 )
 from nsdeg import semigroup
+from nsdeg.degrees import endomorphism_blowup
+from nsdeg.ideals import maximal_ideal
 from nsdeg.sweep import enumerate_semigroups
 
 from oracles import gaps_of, semigroup_set
@@ -216,3 +219,33 @@ def test_two_generated_ring_near_the_cap_holds_no_gap_list():
     oracle = gaps_of([1000, 1001], 1_001_000)
     assert S.genus == len(S.gaps) == len(oracle) == 499_500
     assert S.gaps == tuple(oracle)
+
+
+def _invariants(S):
+    pf = S.pseudo_frobenius() if S.conductor else []
+    return S.generators, S.frobenius, S.genus, S.type, pf, S.multiplicity, S._window
+
+
+def test_window_constructor_matches_the_full_constructor():
+    # M : M of every ring of genus <= 12 and of a few larger ones, built
+    # from its window and, independently, from its generators
+    rings = [S for S in enumerate_semigroups(12) if S.genus]
+    rings += [NumericalSemigroup(g) for g in ([7, 9, 10], [101, 203, 307], [1001, 1003, 1009])]
+    for S in rings:
+        M = maximal_ideal(S)
+        T = M.colon(M)
+        gens = [*T.minimal_generators()[1:], *S.generators]
+        windowed = NumericalSemigroup._from_window(T._window, T.conductor, gens)
+        full = NumericalSemigroup(gens)
+        assert _invariants(windowed) == _invariants(full), S
+        assert _invariants(endomorphism_blowup(S)) == _invariants(full), S
+    assert len(rings) == 1415
+
+
+def test_window_not_closed_under_its_generators():
+    S = NumericalSemigroup([5, 7, 9])
+    # 7 left out of the window; 6, a gap, added to the generators.  Only
+    # the one generator shows each fault, so it is put first, then last.
+    for window, gens in ((S._window & ~(1 << 7), [7, 5, 9]), (S._window, [5, 7, 9, 6])):
+        with pytest.raises(InternalInvariantViolation, match="not closed under adding"):
+            NumericalSemigroup._from_window(window, S.conductor, gens)

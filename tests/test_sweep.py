@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -236,6 +237,37 @@ def test_evaluate_ring_row_shape():
     full = evaluate_ring(NumericalSemigroup([1]))
     assert full["properties"]["tcdeg"] is None
     assert full["properties"]["closed_reflexive_principal"] is None
+
+
+def _dumped(row):
+    return json.dumps(row, indent=2).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("check_herzog", [False, True])
+def test_json_row_writer_matches_json_dumps(check_herzog):
+    node = partial(sweep._sweep_node, check_herzog=check_herzog)
+    rows = list(sweep._walk_levels(12, node))
+    for row in rows:
+        assert sweep._json_row(row) == _dumped(row), row["generators"]
+    # the walk holds each null and each optional key the writer handles
+    assert len(rows) == 1413
+    assert sum(row["tcdeg"] is None for row in rows) == 1
+    assert sum(row["idealization"]["ddeg"] is None for row in rows) == 121
+    assert sum("herzog_note" in row for row in rows) == check_herzog
+    assert sum("herzog_cdeg_realized" in row for row in rows) == 71 * check_herzog
+
+
+def test_json_row_writer_on_every_herzog_key():
+    base = evaluate_ring(NumericalSemigroup([5, 7, 9]))
+    variants = [
+        {"herzog_note": "no_valid_orientation"},
+        {"herzog_cdeg_realized": "both"},
+        {"herzog_cdeg_realized": "neither"},
+        {"herzog_note": "no_valid_orientation", "herzog_cdeg_realized": "a1b1c1"},
+    ]
+    for extra in variants:
+        row = {**base, **extra}
+        assert sweep._json_row(row) == _dumped(row), extra
 
 
 def test_pool_size_is_clamped_to_cpu_count(monkeypatch, tmp_path):

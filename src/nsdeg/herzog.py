@@ -10,7 +10,10 @@ variable.  Numerically the minors say, for generators (a, b, c):
 
 where each left-hand multiple is the least multiple of its generator
 lying in the subsemigroup spanned by the other two, and the mixed
-representation on the right is unique in the non-symmetric case.
+representation on the right is unique in the non-symmetric case.  For a
+generator g over the other two, u and v, whether n*g lies in <u, v> is
+a linear congruence in the coefficient of u modulo v/gcd(u, v), so each
+candidate n costs O(1) (see ``_minimal_relation``).
 
 Under the normalization a1 <= a2, b2 <= b1, c1 <= c2 the bi-canonical
 degree is the product a1*b2*c1 and the canonical degree is one of
@@ -24,6 +27,7 @@ first one passing every check wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .degrees import cdeg, ddeg
 from .errors import (
@@ -76,37 +80,41 @@ class HerzogData:
         }
 
 
-def _representations(total: int, u: int, v: int) -> list[tuple[int, int]]:
-    """All (p, q) with p*u + q*v = total and p, q >= 0."""
-    return [
-        (p, (total - p * u) // v)
-        for p in range(total // u + 1)
-        if (total - p * u) % v == 0
-    ]
-
-
 def _minimal_relation(g: int, u: int, v: int) -> tuple[int, dict[int, int]]:
     """Least n >= 1 with n*g in <u, v>, plus its unique representation.
 
-    The subsemigroup <u, v> need not be numerical (gcd(u, v) may exceed
-    one), so membership is tested by direct decomposition.
+    The subsemigroup <u, v> need not be numerical (d = gcd(u, v) may
+    exceed one), so membership is decided by a linear congruence.  For
+    t = n*g, p*u + q*v = t with q an integer means p*(u/d) = t/d mod v/d,
+    which is solvable iff d divides t; its solutions p are p0 + k*(v/d)
+    with p0 the least of them, and q >= 0 means p*u <= t.  So t lies in
+    <u, v> iff d | t and p0*u <= t, and then it has
+    floor((t - p0*u) / (u*v/d)) + 1 representations, the one with the
+    fewest u first.  Each n costs O(1).
+
+    The search stops by n = min(u/gcd(u, g), v/gcd(v, g)): that multiple
+    of g is lcm(u, g) or lcm(v, g), a multiple of u or of v, so it lies
+    in <u, v>.  Passing the bound is a bug, not an input error.
     """
-    n = 0
-    while True:
-        n += 1
-        reps = _representations(n * g, u, v)
-        if reps:
-            if len(reps) > 1:
-                raise AmbiguousDecomposition(
-                    f"{n}*{g} = {n * g} decomposes over ({u}, {v}) in "
-                    f"{len(reps)} ways; contradicts non-symmetry"
-                )
-            p, q = reps[0]
-            return n, {u: p, v: q}
-        if n > 4 * u * v:
-            raise InternalInvariantViolation(
-                f"no multiple of {g} found in <{u}, {v}>"
+    d = gcd(u, v)
+    step = v // d
+    inverse = pow(u // d, -1, step)
+    for n in range(1, min(u // gcd(u, g), v // gcd(v, g)) + 1):
+        total = n * g
+        if total % d:
+            continue
+        p = total // d * inverse % step
+        rest = total - p * u
+        if rest < 0:
+            continue
+        count = rest // (u * step) + 1
+        if count > 1:
+            raise AmbiguousDecomposition(
+                f"{n}*{g} = {total} decomposes over ({u}, {v}) in "
+                f"{count} ways; contradicts non-symmetry"
             )
+        return n, {u: p, v: rest // v}
+    raise InternalInvariantViolation(f"no multiple of {g} found in <{u}, {v}>")
 
 
 def herzog_matrix(S: NumericalSemigroup) -> HerzogData:

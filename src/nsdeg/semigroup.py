@@ -36,8 +36,9 @@ from .errors import (
 #: Budget: one ring at the cap builds and classifies in about a second on
 #: one core and in under 100 MB.  Measured on a 2-vCPU host, Python 3.11:
 #: <1730,1731,1733> (F = 998,209, canonical index 864), the slowest of the
-#: <m, m+1, m+3> rings tried near the cap, takes 0.45 to 0.68 s; <1000,1001>
-#: (F = 998,999, genus 499,500) takes 0.07 s.  Either peaks at 22 MB of
+#: <m, m+1, m+3> rings tried near the cap, takes 0.44 to 0.57 s, and its
+#: Herzog matrix 1.0 to 1.9 ms more; <1000,1001> (F = 998,999, genus
+#: 499,500) takes 0.04 to 0.05 s.  Either peaks at 22 MB of
 #: process memory.  A ring holds its 125 kB window and no list of its
 #: gaps (that list would be 18 MB); each ideal's window is 125 kB.
 DEFAULT_WINDOW_CAP = 10**6

@@ -215,7 +215,7 @@ def evaluate_ring(S: NumericalSemigroup, check_herzog: bool = False) -> dict:
 
     herzog_note = None
     herzog_realized = None
-    if check_herzog and S.embedding_dim == 3 and S.conductor > 0 and not S.is_symmetric():
+    if check_herzog and S.embedding_dim == 3 and not symmetric:
         try:
             hc = herzog_consistency(S)
             props["herzog"] = hc.ddeg_match and hc.cdeg_in_candidates

@@ -77,6 +77,19 @@ def stable_power_index(gaps: set[int], k_set: set[int]) -> int:
         gaps, r = nxt, r + 1
 
 
+def representations(total: int, u: int, v: int) -> list[tuple[int, int]]:
+    """All (p, q) with p*u + q*v = total and p, q >= 0, by trial division."""
+    return [(p, (total - p * u) // v) for p in range(total // u + 1) if (total - p * u) % v == 0]
+
+
+def minimal_relation(g: int, u: int, v: int) -> tuple[int, list[tuple[int, int]]]:
+    """Least n >= 1 with n*g in <u, v>, and every representation of n*g."""
+    n = 1
+    while not (reps := representations(n * g, u, v)):
+        n += 1
+    return n, reps
+
+
 def valid_gap_subsets(gens: list[int], gaps: list[int], s_elems: set[int]) -> list[int]:
     """Bitmasks of gap subsets G with (S union G) + generators closed.
 

@@ -1,6 +1,10 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from nsdeg import (
+    AmbiguousDecomposition,
     NotThreeGenerated,
     NoValidOrientation,
     NumericalSemigroup,
@@ -10,11 +14,13 @@ from nsdeg import (
     herzog_consistency,
     herzog_matrix,
 )
+from nsdeg.herzog import _minimal_relation
 from nsdeg.sweep import enumerate_semigroups
 
+from oracles import minimal_relation, representations
 
-def in_two_generated(total, u, v):
-    return any((total - p * u) % v == 0 for p in range(total // u + 1))
+#: Every (g, u, v) with u < v and g outside {u, v}, all in [2, 40).
+RELATION_FAMILY = [(g, u, v) for u, v in combinations(range(2, 40), 2) for g in range(2, 40) if g not in (u, v)]
 
 
 def test_five_seven_nine():
@@ -82,8 +88,8 @@ def test_identities_and_minimality_independent_recheck():
         # pure powers are minimal in the subsemigroup of the other two
         for g, n in ((a, a1 + a2), (b, b1 + b2), (c, c1 + c2)):
             u, v = (x for x in (a, b, c) if x != g)
-            assert in_two_generated(n * g, u, v)
-            assert not any(in_two_generated(k * g, u, v) for k in range(1, n))
+            assert representations(n * g, u, v)
+            assert not any(representations(k * g, u, v) for k in range(1, n))
 
 
 def test_formula_matches_direct_on_small_family():
@@ -114,3 +120,33 @@ def test_serialization():
     assert payload["exponents"] == {"a1": 1, "a2": 1, "b1": 2, "b2": 1, "c1": 1, "c2": 4}
     assert payload["ddeg_formula"] == 1
     assert payload["cdeg_candidates"] == [2, 4]
+
+
+def test_minimal_relation_matches_trial_division():
+    ambiguous = 0
+    for g, u, v in RELATION_FAMILY:
+        n, reps = minimal_relation(g, u, v)
+        if len(reps) > 1:
+            ambiguous += 1
+            with pytest.raises(AmbiguousDecomposition) as err:
+                _minimal_relation(g, u, v)
+            assert str(err.value) == (
+                f"{n}*{g} = {n * g} decomposes over ({u}, {v}) in {len(reps)} ways; contradicts non-symmetry"
+            )
+        else:
+            [(p, q)] = reps
+            assert _minimal_relation(g, u, v) == (n, {u: p, v: q}), (g, u, v)
+    shared = sum(gcd(u, v) > 1 for _, u, v in RELATION_FAMILY)
+    assert (len(RELATION_FAMILY), ambiguous, shared) == (25308, 3185, 9648)
+
+
+def test_minimal_relation_stops_by_its_bound():
+    # n*g is a multiple of u once n = u / gcd(u, g), and of v once n = v / gcd(v, g)
+    reached = set()
+    for g, u, v in RELATION_FAMILY:
+        n, _ = minimal_relation(g, u, v)
+        bound = min(u // gcd(u, g), v // gcd(v, g))
+        assert n <= bound, (g, u, v)
+        if n == bound:
+            reached.add((g, u, v))
+    assert (2, 3, 5) in reached

@@ -19,7 +19,7 @@ from nsdeg import (
     reduction,
     unit_ideal,
 )
-from nsdeg._bits import bit_positions
+from nsdeg._bits import bit_positions, ones, reverse_bits
 from nsdeg.ideals import ReductionData, RelativeIdeal
 from nsdeg.lab import enumerate_ideals
 from nsdeg.sweep import enumerate_semigroups
@@ -397,3 +397,29 @@ def test_bit_positions_matches_naive_loop(width, fill):
     if width:
         mask |= 1 << (width - 1)
     assert bit_positions(mask) == [i for i in range(width) if mask >> i & 1]
+
+
+def test_reverse_bits_matches_naive_loop():
+    def naive(mask, width):
+        out = 0
+        for i in range(width):
+            out = out << 1 | mask >> i & 1
+        return out
+
+    rng = random.Random(0)
+    for width in range(131):
+        # bits above the width, up to the sign's infinitely many, are dropped
+        for mask in (0, ones(width), -1, 1 << width, rng.getrandbits(width + 70), ~rng.getrandbits(width)):
+            assert reverse_bits(mask, width) == naive(mask, width), (mask, width)
+
+
+@pytest.mark.parametrize("width", [1000, 10**5, 10**6])
+def test_reverse_bits_on_wide_windows(width):
+    rng = random.Random(width)
+    sparse = sum(1 << i for i in rng.sample(range(width + 100), 40))
+    expected = sum(1 << (width - 1 - i) for i in bit_positions(sparse) if i < width)
+    assert reverse_bits(sparse, width) == expected
+    dense = rng.getrandbits(width + 100)
+    flipped = reverse_bits(dense, width)
+    assert bit_positions(flipped) == sorted(width - 1 - i for i in bit_positions(dense & ones(width)))
+    assert reverse_bits(flipped, width) == dense & ones(width)

@@ -10,7 +10,6 @@ from .errors import (
     InternalInvariantViolation,
     NoValidOrientation,
     NotContained,
-    NotMember,
     NotThreeGenerated,
     NsdegError,
     Overflow,
@@ -19,7 +18,6 @@ from .errors import (
 )
 from .semigroup import DEFAULT_WINDOW_CAP, NumericalSemigroup
 from .ideals import (
-    ReductionData,
     RelativeIdeal,
     canonical_ideal,
     generate,
@@ -42,7 +40,6 @@ from .degrees import (
 from .herzog import HerzogConsistency, HerzogData, herzog_consistency, herzog_matrix
 from .lab import (
     IdealProfile,
-    bidual_defect,
     enumerate_ideals,
     gap_subset_mask,
     is_canonical,
@@ -50,7 +47,6 @@ from .lab import (
     is_principal,
     is_reflexive,
     profile_ideal,
-    socle_quotient,
     socle_witnesses,
 )
 from .sweep import (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import compress, count
 
 #: Maps the digits of bin() to the bytes 0 and 1, for ``compress``.
@@ -38,6 +39,22 @@ def bit_positions(mask: int) -> list[int]:
             i = digits.find("1", i + 1)
         return out
     return list(compress(count(), digits.encode().translate(_DIGIT_BYTES)))
+
+
+def indecomposables(mask: int, shifts: Iterable[int]) -> list[int]:
+    """Set bits of a nonnegative mask that are not a set bit plus a shift.
+
+    With ``mask`` the positive elements of a semigroup or the elements of
+    an ideal, and ``shifts`` generators of the semigroup, these are the
+    minimal generators.  A shift at or past the mask's width moves no bit
+    onto it and is skipped.
+    """
+    width = mask.bit_length()
+    sums = 0
+    for s in shifts:
+        if s < width:
+            sums |= mask << s
+    return bit_positions(mask & ~sums)
 
 
 def reverse_bits(mask: int, width: int) -> int:

@@ -8,7 +8,7 @@ Usage:
     nsdeg sweep --max-genus 12 --out report.csv --format csv
     nsdeg lab --gens 3,4,5 --enumerate-ideals
 
-Exit codes: 0 clean, 1 usage or input error, 2 internal invariant
+Exit codes: 0 clean, 1 usage, input or file error, 2 internal invariant
 violation, 3 theorem-assertion failure in a sweep.
 """
 
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except InternalInvariantViolation as exc:
         click.echo(f"error: InternalInvariantViolation: {exc}", err=True)
         return 2
-    except NsdegError as exc:
+    except (NsdegError, OSError) as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         return 1
     return rv if isinstance(rv, int) else 0

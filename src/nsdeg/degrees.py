@@ -42,7 +42,7 @@ def tdeg(S: NumericalSemigroup) -> int:
 
 def canonical_index(S: NumericalSemigroup) -> int:
     """Reduction number of the canonical ideal; 0 iff Gorenstein."""
-    return reduction(canonical_ideal(S)).reduction_number
+    return reduction(canonical_ideal(S))
 
 
 def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
@@ -159,7 +159,7 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
     cd = length_quotient(K, U)
     dd = length_quotient(U.colon(K_dual), K)
     td = length_quotient(U, K_dual.product(K))
-    ci = reduction(K).reduction_number
+    ci = reduction(K)
     gorenstein = r == 1
 
     if cd < r - 1:

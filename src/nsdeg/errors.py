@@ -21,10 +21,6 @@ class Overflow(NsdegError):
     """A membership window would exceed the configured size bound."""
 
 
-class NotMember(NsdegError):
-    """An element required to lie in a semigroup or ideal does not."""
-
-
 class FullSemigroup(NsdegError):
     """The operation is undefined for the full semigroup (the DVR case)."""
 

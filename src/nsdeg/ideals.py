@@ -39,10 +39,9 @@ InternalInvariantViolation rather than as a corrupted value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
 
-from ._bits import bit_positions, lowest_bit, ones, reverse_bits
+from ._bits import bit_positions, indecomposables, lowest_bit, ones, reverse_bits
 from .errors import (
     AmbientMismatch,
     EmptyGenerators,
@@ -102,11 +101,7 @@ class RelativeIdeal:
         """
         if self._gens is None:
             S = self.ambient
-            ext = self._ext(self.conductor + S.multiplicity)
-            sums = 0
-            for g in S.generators:
-                sums |= ext << g
-            self._gens = bit_positions(ext & ~sums)
+            self._gens = indecomposables(self._ext(self.conductor + S.multiplicity), S.generators)
         return self._gens
 
     # -- membership and views -------------------------------------------
@@ -145,16 +140,6 @@ class RelativeIdeal:
     def _check_ambient(self, other: "RelativeIdeal") -> None:
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise AmbientMismatch("ideals live over different ambient semigroups")
-
-    def union(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """Ideal sum: the union of the two value sets."""
-        self._check_ambient(other)
-        start = min(self.offset, other.offset)
-        tail = min(self.conductor, other.conductor)
-        mask = (self._ext(tail) << (self.offset - start)) | (
-            other._ext(tail) << (other.offset - start)
-        )
-        return RelativeIdeal(self.ambient, start, mask, tail)
 
     def product(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Ideal product: the Minkowski sum of the two value sets.
@@ -211,16 +196,6 @@ class RelativeIdeal:
         """Minimal G with generate(S, G) = E, namely E minus (M + E)."""
         return [self.offset + f for f in self._generators()]
 
-    def contains_ideal(self, other: "RelativeIdeal") -> bool:
-        """True iff other is a subset of self."""
-        self._check_ambient(other)
-        if other.offset < self.offset:
-            return False
-        stop = max(self.conductor, other.conductor)
-        big = self._ext(stop)
-        small = other._ext(stop) << (other.offset - self.offset)
-        return not (small & ~big)
-
     def key(self) -> tuple[int, int]:
         """Normal form of E - min E: equal keys mean translates."""
         return self.conductor - self.offset, self._window
@@ -250,14 +225,6 @@ class RelativeIdeal:
             f"RelativeIdeal(offset={self.offset}, "
             f"elements={self.elements_below_conductor()}, conductor={self.conductor})"
         )
-
-
-@dataclass(frozen=True)
-class ReductionData:
-    """Principal reduction of an ideal by its minimum-value element."""
-
-    element_value: int
-    reduction_number: int
 
 
 # -- constructors --------------------------------------------------------
@@ -325,8 +292,8 @@ def length_quotient(big: RelativeIdeal, small: RelativeIdeal) -> int:
     return (b & ~s).bit_count()
 
 
-def reduction(ideal: RelativeIdeal) -> ReductionData:
-    """Reduction data of E by a = t^min(E).
+def reduction(ideal: RelativeIdeal) -> int:
+    """Reduction number of E by its principal reduction a = t^min(E).
 
     Returns the least r >= 0 with E^(r+1) = a + E^r as value sets; the
     stabilization is re-verified one step further.  Each power is one
@@ -350,6 +317,6 @@ def reduction(ideal: RelativeIdeal) -> ReductionData:
         if key == prev:
             if cur.product(ideal).key() != key:
                 raise InternalInvariantViolation("reduction did not stabilize")
-            return ReductionData(ideal.offset, r)
+            return r
         prev, cur = key, cur.product(ideal)
     raise InternalInvariantViolation("reduction did not stabilize within genus + 1 steps")

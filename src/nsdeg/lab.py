@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 
 from ._bits import ones
-from .errors import FullSemigroup, NotMember, TooLarge
+from .errors import FullSemigroup, TooLarge
 from .ideals import RelativeIdeal, canonical_ideal, length_quotient, maximal_ideal
 from .semigroup import NumericalSemigroup
 
@@ -56,23 +56,6 @@ def is_principal(E: RelativeIdeal) -> bool:
 def is_canonical(E: RelativeIdeal) -> bool:
     """True iff E is a shift of the canonical ideal."""
     return E.key() == canonical_ideal(E.ambient).key()
-
-
-def bidual_defect(E: RelativeIdeal) -> int:
-    """lambda(E** / E); zero exactly for reflexive ideals."""
-    return length_quotient(E.bidual(), E)
-
-
-def socle_quotient(E: RelativeIdeal, c: int) -> int | None:
-    """Dimension of E/(c) when that quotient is a vector space, else None.
-
-    Requires c in E.  The quotient is a vector space over the residue
-    field exactly when M + E is contained in c + S; its dimension is
-    then |E minus (c + S)|.
-    """
-    if c not in E:
-        raise NotMember(f"{c} is not an element of the ideal")
-    return dict(socle_witnesses(E)).get(c)
 
 
 def socle_witnesses(E: RelativeIdeal) -> list[tuple[int, int]]:
@@ -157,16 +140,14 @@ def enumerate_ideals(S: NumericalSemigroup) -> Iterator[RelativeIdeal]:
     if S.genus > DEFAULT_ENUMERATION_CAP:
         raise TooLarge(f"genus {S.genus} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
+    # Gap subsets are held as position masks (bit g set: the gap g is
+    # chosen); choosing the i-th gap requires the gaps in required[i],
+    # those it reaches by adding a generator.  Numbering the gaps in
+    # increasing order keeps the order of the masks the same.
     gaps = S.gaps
-    index = {g: i for i, g in enumerate(gaps)}
-    required = []
-    for g in gaps:
-        need = 0
-        for m in S.generators:
-            h = g + m
-            if h < S.conductor and h not in S:
-                need |= 1 << index[h]
-        required.append(need)
+    gap_mask = ~S._window & ones(S.conductor)
+    gen_mask = sum(1 << m for m in S.generators)
+    required = [(gen_mask << g) & gap_mask for g in gaps]
 
     def rec(i: int, chosen: int) -> Iterator[int]:
         if i < 0:
@@ -174,13 +155,7 @@ def enumerate_ideals(S: NumericalSemigroup) -> Iterator[RelativeIdeal]:
             return
         yield from rec(i - 1, chosen)
         if required[i] & ~chosen == 0:
-            yield from rec(i - 1, chosen | (1 << i))
+            yield from rec(i - 1, chosen | (1 << gaps[i]))
 
     for chosen in rec(len(gaps) - 1, 0):
-        mask = S._window
-        picked = chosen
-        while picked:
-            lsb = picked & -picked
-            mask |= 1 << gaps[lsb.bit_length() - 1]
-            picked ^= lsb
-        yield RelativeIdeal(S, 0, mask, S.conductor)
+        yield RelativeIdeal(S, 0, S._window | chosen, S.conductor)

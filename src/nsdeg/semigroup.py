@@ -7,10 +7,11 @@ int used as a bitset (bit z set  <=>  z in S), and every z at or above
 the conductor is a member by definition.
 
 The construction computes the Frobenius number, the genus (by counting
-the window's set bits), the minimal generating system and the
-pseudo-Frobenius numbers; the gaps are listed from the window only when
-asked for, so a ring of genus in the hundreds of thousands holds one
-int, not a tuple of that many.  A semigroup whose window another
+the window's set bits), the minimal generating system and the type, the
+number of pseudo-Frobenius numbers, counted off a mask without listing
+them.  The gaps are listed from the window only when asked for, so a
+ring of genus in the hundreds of thousands holds one int, not a tuple
+of that many.  A semigroup whose window another
 computation already holds (the ring of M : M) is built from that
 window, with the same generator pass and no closure or run search.
 Instances are immutable after construction and safe to share between
@@ -22,13 +23,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from ._bits import bit_positions, lowest_bit, ones, reverse_bits, runs_of_length
+from ._bits import bit_positions, indecomposables, lowest_bit, ones, reverse_bits, runs_of_length
 from .errors import (
     EmptyGenerators,
     FullSemigroup,
     GcdNotOne,
     InternalInvariantViolation,
-    NotMember,
     Overflow,
 )
 
@@ -87,7 +87,6 @@ class NumericalSemigroup:
         "embedding_dim",
         "type",
         "_window",
-        "_pf",
     )
 
     def __init__(self, generators: Iterable[int]):
@@ -146,7 +145,7 @@ class NumericalSemigroup:
 
     def _set_window(self, window: int, conductor: int, gens: list[int]) -> None:
         """Every invariant from the window below the conductor and a
-        generating set: the generator and pseudo-Frobenius mask pass."""
+        generating set: the minimal generators and the type by mask passes."""
         self.conductor = conductor
         self.frobenius = conductor - 1
         self._window = window
@@ -159,32 +158,23 @@ class NumericalSemigroup:
             # s + t with s, t positive; all of them lie below conductor + m.
             # Any generating set holds m, the multiplicity, as its least.
             m = min(gens)
-            span = conductor + m
-            ext = window | (ones(m) << conductor)
-            positives = ext & ~1
-            sums = 0
-            for g0 in gens:
-                if g0 < span:
-                    sums |= positives << g0
-            sums &= ones(span)
-            mingens = tuple(bit_positions(positives & ~sums))
+            positives = (window | ones(m) << conductor) & ~1
+            mingens = tuple(indecomposables(positives, gens))
         self.generators = mingens
         self.multiplicity = mingens[0]
         self.embedding_dim = len(mingens)
 
         if conductor == 0:
-            self._pf = ()
             self.type = 1  # DVR convention
         else:
             # x is pseudo-Frobenius iff x is a gap and x + g in S for
-            # every minimal generator g.
+            # every minimal generator g; the type counts them.
             reach = conductor + mingens[-1]
             ext = window | (ones(reach - conductor) << conductor)
             acc = ones(conductor)
             for g0 in mingens:
                 acc &= ext >> g0
-            self._pf = tuple(bit_positions(acc & ~window & ones(conductor)))
-            self.type = len(self._pf)
+            self.type = (acc & ~window).bit_count()
 
     # -- membership ----------------------------------------------------
 
@@ -205,36 +195,6 @@ class NumericalSemigroup:
         """The gaps, ascending; listed from the window on each access."""
         return tuple(bit_positions(~self._window & ones(self.conductor)))
 
-    def apery_set(self, n: int) -> list[int]:
-        """Smallest element of S in each residue class mod n, sorted.
-
-        Raises NotMember unless n is a positive element of S.
-        """
-        if n <= 0 or not self.contains(n):
-            raise NotMember(f"{n} is not a positive element of the semigroup")
-        out: list[int] = []
-        seen = [False] * n
-        found = 0
-        z = 0
-        while found < n:
-            if self.contains(z) and not seen[z % n]:
-                seen[z % n] = True
-                out.append(z)
-                found += 1
-            z += 1
-        return sorted(out)
-
-    def pseudo_frobenius(self) -> list[int]:
-        """Gaps x with x + s in S for every positive s in S, sorted.
-
-        The count is the Cohen-Macaulay type of the semigroup ring; the
-        Frobenius number is always among them.  Raises FullSemigroup for
-        the full semigroup, whose pseudo-Frobenius set is empty.
-        """
-        if self.conductor == 0:
-            raise FullSemigroup("the full semigroup has no pseudo-Frobenius numbers")
-        return list(self._pf)
-
     def is_symmetric(self) -> bool:
         """True iff x in S  <=>  frobenius - x not in S for all integers x.
 
@@ -247,13 +207,6 @@ class NumericalSemigroup:
         return reverse_bits(self._window, c) == (~self._window & ones(c))
 
     # -- plumbing -------------------------------------------------------
-
-    def elements_below(self, stop: int) -> list[int]:
-        """All members in [0, stop)."""
-        mask = self._window
-        if stop > self.conductor:
-            mask |= ones(stop - self.conductor) << self.conductor
-        return bit_positions(mask & ones(stop))
 
     def to_dict(self) -> dict:
         return {

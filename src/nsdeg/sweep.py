@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from collections.abc import Callable, Iterator
 
-from ._bits import bit_positions, ones
+from ._bits import indecomposables, ones
 from .degrees import classify
 from .errors import CapExceeded, NoValidOrientation
 from .herzog import herzog_consistency
@@ -137,17 +137,12 @@ def _children(S: NumericalSemigroup) -> list[tuple[int, ...]]:
     """
     window, c, mu, gens = S._window, S.conductor, S.multiplicity, S.generators
     kids = []
-    for m in gens:
+    for i, m in enumerate(gens):
         if m < c:  # children remove only generators above F = c - 1
             continue
         kid_mu = m + 1 if m == mu else mu
         positives = (window | ones(m - c) << c | ones(kid_mu) << (m + 1)) & ~1
-        sums = 0
-        for g in gens:
-            if g >= m:
-                break
-            sums |= positives << g
-        kids.append(tuple(bit_positions(positives & ~sums)))
+        kids.append(tuple(indecomposables(positives, gens[:i])))
     return kids
 
 

@@ -263,6 +263,16 @@ def test_sweep_past_the_genus_cap_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.csv"
+    code, out, err = run(capsys, "sweep", "--max-genus", "2", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_names_flag(capsys):
     code, _, err = run(capsys, "degrees", "--gens", "5,x,9")
     assert code == 1

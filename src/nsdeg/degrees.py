@@ -86,8 +86,18 @@ def tcdeg_check(S: NumericalSemigroup) -> TcdegCheck:
     """
     if S.conductor == 0:
         raise FullSemigroup("the identity is degenerate for the full semigroup")
+    return _tcdeg(S, cdeg(S))
+
+
+def _tcdeg(S: NumericalSemigroup, cd: int) -> TcdegCheck:
+    """Both sides of the identity, given cd = cdeg(S).
+
+    The right side needs only cd and invariants of S, so a caller that
+    has counted cd already builds no second K; the left side still counts
+    cdeg on the ring of M : M.
+    """
     lhs = cdeg(endomorphism_blowup(S))
-    rhs = cdeg(S) + S.multiplicity - 2 * S.type
+    rhs = cd + S.multiplicity - 2 * S.type
     return TcdegCheck(lhs, rhs, lhs == rhs)
 
 
@@ -146,7 +156,9 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
     U, K and K* are built once and every degree is read from them; the
     single-invariant functions above stay as the reference for tests.
     ddeg and tdeg share K* but part after it: one goes through K**,
-    the other through tr K = K * K*.
+    the other through tr K = K * K*.  The change-of-ring check reads its
+    right side off this cdeg; its left side counts cdeg on the ring of
+    M : M.
 
     The cross-checks (cdeg >= type - 1; Gorenstein <=> cdeg = 0 <=>
     ddeg = 0) are theorems, so a failure is an implementation bug and
@@ -169,7 +181,7 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
             f"vanishing mismatch: type {r}, cdeg {cd}, ddeg {dd}"
         )
 
-    tc = tcdeg_check(S) if S.conductor > 0 else None
+    tc = _tcdeg(S, cd) if S.conductor > 0 else None
     return DegreeReport(
         generators=S.generators,
         frobenius=S.frobenius,

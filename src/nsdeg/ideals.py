@@ -8,12 +8,14 @@ in normal form: the minimum element (offset), the minimal conductor
 three parts coincide, which makes all the identity checks in the test
 suite exact set comparisons.
 
-Identity up to translation is a comparison of keys: E's key,
+S itself is the value set 0 + S, stored the same way: both are value
+sets of ``semigroup.py``, which hold the one membership test, extension
+mask, gap mask and closure check that every operation here uses.
+Identity up to translation is a comparison of keys: a value set's key,
 (conductor - offset, window), is the normal form of E - min E, so E is
-a translate of F exactly when their keys are equal.  S's own key is
-(S.conductor, S._window).  Asking whether an ideal is principal, closed
-or canonical, or whether a power has stabilized, therefore builds no
-unit ideal and no translate.
+a translate of F, or of S, exactly when their keys are equal.  Asking
+whether an ideal is principal, closed or canonical, or whether a power
+has stabilized, therefore builds no unit ideal and no translate.
 
 Products and colons run over minimal generators, by the value-set
 identities (Barucci-Dobbs-Fontana, Mem. AMS 1997; Rosales-Garcia-Sanchez,
@@ -48,19 +50,20 @@ from .errors import (
     InternalInvariantViolation,
     NotContained,
 )
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _ValueSet
 
 
-class RelativeIdeal:
+class RelativeIdeal(_ValueSet):
     """A monomial fractional ideal of a numerical semigroup, by value set.
 
     Construct through :func:`generate`, :func:`canonical_ideal`,
     :func:`unit_ideal` or :func:`maximal_ideal`; the raw constructor
     takes an arbitrary half-line description (mask over [start, tail)
-    plus everything at or above tail) and normalizes it.
+    plus everything at or above tail), normalizes it to a value set and
+    checks that it is closed under adding the ambient's generators.
     """
 
-    __slots__ = ("ambient", "offset", "conductor", "_window", "_gens")
+    __slots__ = ("ambient", "_gens")
 
     def __init__(self, ambient: NumericalSemigroup, start: int, mask: int, tail: int):
         if tail < start:
@@ -83,16 +86,7 @@ class RelativeIdeal:
         self.conductor = conductor
         self._window = window
         self._gens: list[int] | None = None
-        self._validate(missing)
-
-    def _validate(self, missing: int) -> None:
-        # E + g inside E for every minimal generator g of the ambient;
-        # ``missing`` marks the integers of [offset, conductor) not in E.
-        for g in self.ambient.generators:
-            if (self._window << g) & missing:
-                raise InternalInvariantViolation(
-                    f"value set is not closed under adding {g}"
-                )
+        self._check_closed(ambient.generators, missing)
 
     def _generators(self) -> list[int]:
         """Minimal generators as offsets from min E, computed once.
@@ -104,30 +98,10 @@ class RelativeIdeal:
             self._gens = indecomposables(self._ext(self.conductor + S.multiplicity), S.generators)
         return self._gens
 
-    # -- membership and views -------------------------------------------
-
-    def contains(self, z: int) -> bool:
-        if z < self.offset:
-            return False
-        if z >= self.conductor:
-            return True
-        return bool((self._window >> (z - self.offset)) & 1)
-
-    def __contains__(self, z: int) -> bool:
-        return self.contains(z)
-
-    def _ext(self, stop: int) -> int:
-        """Indicator mask of E over [offset, stop)."""
-        length = stop - self.offset
-        if length <= 0:
-            return 0
-        mask = self._window
-        if stop > self.conductor:
-            mask |= ones(stop - self.conductor) << (self.conductor - self.offset)
-        return mask & ones(length)
+    # -- views ------------------------------------------------------------
 
     def elements_below_conductor(self) -> list[int]:
-        return [self.offset + i for i in bit_positions(self._window)]
+        return [self.offset + i for i in bit_positions(self._ext(self.conductor))]
 
     def shift(self, z: int) -> "RelativeIdeal":
         """The translate z + E; E itself for z = 0, ideals being immutable."""
@@ -173,7 +147,7 @@ class RelativeIdeal:
         self._check_ambient(other)
         start = self.offset - other.offset
         length = self.conductor - self.offset
-        missing = ~self._window & ones(length)
+        missing = self._missing()
         bad = 0
         for f in other._generators():
             if f >= length:
@@ -196,10 +170,6 @@ class RelativeIdeal:
         """Minimal G with generate(S, G) = E, namely E minus (M + E)."""
         return [self.offset + f for f in self._generators()]
 
-    def key(self) -> tuple[int, int]:
-        """Normal form of E - min E: equal keys mean translates."""
-        return self.conductor - self.offset, self._window
-
     def to_dict(self) -> dict:
         return {
             "ambient": list(self.ambient.generators),
@@ -213,12 +183,11 @@ class RelativeIdeal:
             isinstance(other, RelativeIdeal)
             and (self.ambient is other.ambient or self.ambient == other.ambient)
             and self.offset == other.offset
-            and self.conductor == other.conductor
-            and self._window == other._window
+            and self.key() == other.key()
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.offset, self.conductor, self._window))
+        return hash((self.ambient, self.offset, self.key()))
 
     def __repr__(self) -> str:
         return (
@@ -239,13 +208,8 @@ def generate(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeIdeal:
     tail = start + S.conductor
     acc = 0
     for v in vals:
-        if v >= tail:
-            continue
-        length = tail - v
-        mask = S._window
-        if length > S.conductor:
-            mask |= ones(length - S.conductor) << S.conductor
-        acc |= (mask & ones(length)) << (v - start)
+        if v < tail:
+            acc |= S._ext(tail - v) << (v - start)
     return RelativeIdeal(S, start, acc, tail)
 
 
@@ -270,7 +234,7 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     c = S.conductor
     if c == 0:
         return unit_ideal(S)
-    return RelativeIdeal(S, 0, reverse_bits(~S._window & ones(c), c), c)
+    return RelativeIdeal(S, 0, reverse_bits(S._missing(), c), c)
 
 
 # -- lengths and reductions ----------------------------------------------
@@ -310,7 +274,7 @@ def reduction(ideal: RelativeIdeal) -> int:
     g + 1 steps; running past them can only be an implementation bug.
     """
     S = ideal.ambient
-    prev = (S.conductor, S._window)
+    prev = S.key()
     cur = ideal
     for r in range(S.genus + 1):
         key = cur.key()

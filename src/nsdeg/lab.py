@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterator
 
-from ._bits import ones
 from .errors import FullSemigroup, TooLarge
 from .ideals import RelativeIdeal, canonical_ideal, length_quotient, maximal_ideal
 from .semigroup import NumericalSemigroup
@@ -49,8 +48,7 @@ def is_reflexive(E: RelativeIdeal) -> bool:
 
 def is_principal(E: RelativeIdeal) -> bool:
     """True iff E = min(E) + S."""
-    S = E.ambient
-    return E.key() == (S.conductor, S._window)
+    return E.key() == E.ambient.key()
 
 
 def is_canonical(E: RelativeIdeal) -> bool:
@@ -61,22 +59,23 @@ def is_canonical(E: RelativeIdeal) -> bool:
 def socle_witnesses(E: RelativeIdeal) -> list[tuple[int, int]]:
     """All (c, n) with M + E inside c + S and n = lambda(E/(c + S)).
 
-    Mask arithmetic over [c, stop), stop past every conductor involved:
-    M + E lies in c + S iff min(M + E) >= c and (M + E) - c has no
-    element outside S, and then |E minus (c + S)| is |E| minus |c + S|
-    below stop, because c + S lies in E.
+    By the gap mask of S, the same for every c: for c <= min(M + E),
+    M + E lies in c + S iff no element of M + E below c + conductor(S)
+    is c plus a gap of S.  Then c + S lies in E, and both hold every
+    integer from the larger conductor on, so |E minus (c + S)| is
+    c - min E + genus(S) less the integers of [min E, conductor(E))
+    missing from E.
     """
     S = E.ambient
     me = maximal_ideal(S).product(E)
-    out = []
-    for c in range(E.offset, me.offset + 1):
-        if c not in E:
-            continue
-        stop = max(me.conductor, c + S.conductor)
-        shifted_s = ones(stop - c) & ~(ones(S.conductor) & ~S._window)
-        if not (me._ext(stop) << (me.offset - c)) & ~shifted_s:
-            out.append((c, E._ext(stop).bit_count() - shifted_s.bit_count()))
-    return out
+    gaps = S._missing()
+    near = me._ext(me.offset + S.conductor)
+    base = S.genus - E.offset - E._missing().bit_count()
+    return [
+        (c, c + base)
+        for c in range(E.offset, me.offset + 1)
+        if c in E and not (near << (me.offset - c)) & gaps
+    ]
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def enumerate_ideals(S: NumericalSemigroup) -> Iterator[RelativeIdeal]:
     # those it reaches by adding a generator.  Numbering the gaps in
     # increasing order keeps the order of the masks the same.
     gaps = S.gaps
-    gap_mask = ~S._window & ones(S.conductor)
+    gap_mask = S._missing()
     gen_mask = sum(1 << m for m in S.generators)
     required = [(gen_mask << g) & gap_mask for g in gaps]
 

@@ -1,10 +1,17 @@
-"""Exact arithmetic on numerical semigroups.
+"""Exact arithmetic on numerical semigroups and the value sets they share
+with their ideals.
 
 A numerical semigroup S is an additive submonoid of the nonnegative
 integers with finite complement.  Everything here is exact integer
-arithmetic; membership below the conductor is stored in a single Python
-int used as a bitset (bit z set  <=>  z in S), and every z at or above
-the conductor is a member by definition.
+arithmetic.  S is stored as a value set, the way its relative ideals
+are (Barucci-Dobbs-Fontana, Mem. AMS 1997; Rosales-Garcia-Sanchez,
+Numerical Semigroups, 2009): a least element, here 0, a conductor, and
+membership in between held in a single Python int used as a bitset
+(bit z set  <=>  z in S); every z at or above the conductor is a member
+by definition.  :class:`_ValueSet` holds that storage and the only
+membership test, extension mask, gap mask, translation key and closure
+check; :class:`NumericalSemigroup` and the relative ideals of
+``ideals.py`` are its two kinds.
 
 The construction computes the Frobenius number, the genus (by counting
 the window's set bits), the minimal generating system and the type, the
@@ -70,8 +77,63 @@ def _closure_window(gens: list[int], bound: int) -> int:
             return mask
 
 
-class NumericalSemigroup:
+class _ValueSet:
+    """A set of integers containing every integer from its conductor on.
+
+    ``offset`` is its least element, ``conductor`` the least c with
+    [c, infinity) inside it, and bit i of ``_window`` is set when
+    offset + i is a member, for offset + i below the conductor.  A set
+    with no element below its conductor has offset = conductor and an
+    empty window.
+    """
+
+    __slots__ = ("offset", "conductor", "_window")
+
+    def contains(self, z: int) -> bool:
+        if z < self.offset:
+            return False
+        if z >= self.conductor:
+            return True
+        return bool((self._window >> (z - self.offset)) & 1)
+
+    __contains__ = contains
+
+    def _ext(self, stop: int) -> int:
+        """Indicator mask of the set over [offset, stop)."""
+        length = stop - self.offset
+        if length <= 0:
+            return 0
+        mask = self._window
+        if stop > self.conductor:
+            mask |= ones(stop - self.conductor) << (self.conductor - self.offset)
+        return mask & ones(length)
+
+    def _missing(self) -> int:
+        """Mask of the integers of [offset, conductor) outside the set."""
+        return ~self._window & ones(self.conductor - self.offset)
+
+    def key(self) -> tuple[int, int]:
+        """Normal form of the set minus its least element: two value sets
+        are translates of each other exactly when their keys are equal."""
+        return self.conductor - self.offset, self._window
+
+    def _check_closed(self, gens: Iterable[int], missing: int) -> None:
+        """Raise InternalInvariantViolation unless adding each of ``gens``
+        keeps the set inside itself.
+
+        ``missing`` is the set's gap mask, :meth:`_missing`; a constructor
+        that normalized the set has already computed it.
+        """
+        for g in gens:
+            if (self._window << g) & missing:
+                raise InternalInvariantViolation(f"value set is not closed under adding {g}")
+
+
+class NumericalSemigroup(_ValueSet):
     """The numerical semigroup generated by a set of positive integers.
+
+    It is the value set with offset 0; membership, the gap mask and the
+    translation key are those of every value set.
 
     >>> S = NumericalSemigroup([5, 7, 9])
     >>> S.frobenius, S.genus, S.type
@@ -81,12 +143,10 @@ class NumericalSemigroup:
     __slots__ = (
         "generators",
         "frobenius",
-        "conductor",
         "genus",
         "multiplicity",
         "embedding_dim",
         "type",
-        "_window",
     )
 
     def __init__(self, generators: Iterable[int]):
@@ -130,22 +190,20 @@ class NumericalSemigroup:
         of ``window``, for a semigroup derived from one already built.
 
         ``gens`` must generate it; ``conductor - 1`` must be a gap.  The
-        window is checked to be closed under adding each of ``gens``, as a
-        relative ideal checks its value set, so a window that is not a
+        window goes through the closure check every relative ideal goes
+        through, under adding each of ``gens``, so a window that is not a
         semigroup raises InternalInvariantViolation.  Input from outside
         goes through the full constructor.
         """
-        missing = ~window & ones(conductor)
-        for g in gens:
-            if (window << g) & missing:
-                raise InternalInvariantViolation(f"window is not closed under adding {g}")
         S = cls.__new__(cls)
         S._set_window(window, conductor, gens)
+        S._check_closed(gens, S._missing())
         return S
 
     def _set_window(self, window: int, conductor: int, gens: list[int]) -> None:
         """Every invariant from the window below the conductor and a
         generating set: the minimal generators and the type by mask passes."""
+        self.offset = 0
         self.conductor = conductor
         self.frobenius = conductor - 1
         self._window = window
@@ -158,8 +216,7 @@ class NumericalSemigroup:
             # s + t with s, t positive; all of them lie below conductor + m.
             # Any generating set holds m, the multiplicity, as its least.
             m = min(gens)
-            positives = (window | ones(m) << conductor) & ~1
-            mingens = tuple(indecomposables(positives, gens))
+            mingens = tuple(indecomposables(self._ext(conductor + m) & ~1, gens))
         self.generators = mingens
         self.multiplicity = mingens[0]
         self.embedding_dim = len(mingens)
@@ -169,31 +226,18 @@ class NumericalSemigroup:
         else:
             # x is pseudo-Frobenius iff x is a gap and x + g in S for
             # every minimal generator g; the type counts them.
-            reach = conductor + mingens[-1]
-            ext = window | (ones(reach - conductor) << conductor)
+            ext = self._ext(conductor + mingens[-1])
             acc = ones(conductor)
             for g0 in mingens:
                 acc &= ext >> g0
             self.type = (acc & ~window).bit_count()
-
-    # -- membership ----------------------------------------------------
-
-    def contains(self, z: int) -> bool:
-        if z < 0:
-            return False
-        if z >= self.conductor:
-            return True
-        return bool((self._window >> z) & 1)
-
-    def __contains__(self, z: int) -> bool:
-        return self.contains(z)
 
     # -- classical invariants ------------------------------------------
 
     @property
     def gaps(self) -> tuple[int, ...]:
         """The gaps, ascending; listed from the window on each access."""
-        return tuple(bit_positions(~self._window & ones(self.conductor)))
+        return tuple(bit_positions(self._missing()))
 
     def is_symmetric(self) -> bool:
         """True iff x in S  <=>  frobenius - x not in S for all integers x.
@@ -203,8 +247,7 @@ class NumericalSemigroup:
         """
         if self.conductor == 0:
             raise FullSemigroup("symmetry is undefined for the full semigroup")
-        c = self.conductor
-        return reverse_bits(self._window, c) == (~self._window & ones(c))
+        return reverse_bits(self._window, self.conductor) == self._missing()
 
     # -- plumbing -------------------------------------------------------
 

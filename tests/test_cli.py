@@ -273,6 +273,14 @@ def test_sweep_into_a_missing_directory_is_an_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_directory_error_names_the_out_path(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.csv"
+    code, _, err = run(capsys, "sweep", "--max-genus", "2", "--out", str(out_path))
+    assert code == 1
+    assert f"'{out_path}'" in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_names_flag(capsys):
     code, _, err = run(capsys, "degrees", "--gens", "5,x,9")
     assert code == 1

@@ -11,7 +11,7 @@ from nsdeg import (
 )
 from nsdeg import semigroup
 from nsdeg.degrees import endomorphism_blowup
-from nsdeg.ideals import maximal_ideal
+from nsdeg.ideals import maximal_ideal, unit_ideal
 from nsdeg.sweep import enumerate_semigroups
 
 from oracles import gaps_of, semigroup_set
@@ -227,3 +227,20 @@ def test_window_not_closed_under_its_generators():
     for window, gens in ((S._window & ~(1 << 7), [7, 5, 9]), (S._window, [5, 7, 9, 6])):
         with pytest.raises(InternalInvariantViolation, match="not closed under adding"):
             NumericalSemigroup._from_window(window, S.conductor, gens)
+
+
+def test_semigroup_and_its_unit_ideal_are_one_value_set():
+    # S is the value set 0 + S: as a semigroup and as an ideal over
+    # itself it answers membership, masks and key alike, and its mask is
+    # the plain-set closure of its generators
+    rings = list(enumerate_semigroups(10))
+    for S in rings:
+        U = unit_ideal(S)
+        stop = S.conductor + S.multiplicity + 3
+        members = semigroup_set(list(S.generators), stop)
+        assert S._ext(stop) == sum(1 << z for z in members), S
+        assert [z for z in range(-2, stop) if S.contains(z)] == sorted(members), S
+        assert all(U.contains(z) == S.contains(z) for z in range(-2, stop)), S
+        assert all(U._ext(t) == S._ext(t) for t in range(-1, stop)), S
+        assert (U._missing(), U.key()) == (S._missing(), S.key()), S
+    assert len(rings) == 478

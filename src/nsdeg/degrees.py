@@ -153,8 +153,9 @@ class DegreeReport:
 def classify(S: NumericalSemigroup) -> DegreeReport:
     """Full degree report with internal consistency cross-checks.
 
-    U, K and K* are built once and every degree is read from them; the
-    single-invariant functions above stay as the reference for tests.
+    K and K* are built once and every degree is read from them, K* and
+    K** through ``dual``; U is built only for the two lengths over S.
+    The single-invariant functions above stay as the reference for tests.
     ddeg and tdeg share K* but part after it: one goes through K**,
     the other through tr K = K * K*.  The change-of-ring check reads its
     right side off this cdeg; its left side counts cdeg on the ring of
@@ -167,9 +168,9 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
     r = S.type
     U = unit_ideal(S)
     K = canonical_ideal(S)
-    K_dual = U.colon(K)
+    K_dual = K.dual()
     cd = length_quotient(K, U)
-    dd = length_quotient(U.colon(K_dual), K)
+    dd = length_quotient(K_dual.dual(), K)
     td = length_quotient(U, K_dual.product(K))
     ci = reduction(K)
     gorenstein = r == 1

@@ -23,15 +23,18 @@ Numerical Semigroups, 2009)
 
     E + F = union of f + E,   E : F = intersection of E - f,
 
-f ranging over the minimal generators of F.  An ideal's minimal
-generators are E minus (M + E), where M + E is the union of g + E over
-the minimal generators g of S; each ideal computes them once, on first
-use.  An operation thus costs one shift per generator of its argument
-F rather than one per element of its window, so callers pass the factor
-with fewer generators as the argument: the canonical ideal K has only
-type(S) generators, and its dual has at least as many.  The reduction
-loop multiplies each power by E, so a power's own generators are never
-computed; it is bounded by the genus of S, a theorem (see
+f ranging over the minimal generators of F.  One colon kernel serves
+E : F and the dual S : F alike: its left side is any value set over
+F's ambient, and S is the left side of every dual, so no dual or
+bidual builds a unit ideal.  An ideal's minimal generators are E minus
+(M + E), where M + E is the union of g + E over the minimal generators
+g of S; each ideal computes them once, on first use.  An operation
+thus costs one shift per generator of its argument F rather than one
+per element of its window, so callers pass the factor with fewer
+generators as the argument: the canonical ideal K has only type(S)
+generators, and its dual has at least as many.  The reduction loop
+multiplies each power by E, so a power's own generators are never
+computed; it is bounded by the multiplicity of S, a theorem (see
 :func:`reduction`), not by a fixed count.
 
 All operations are pure; results are re-normalized and re-validated on
@@ -136,28 +139,16 @@ class RelativeIdeal(_ValueSet):
             if g >= length:
                 break
             acc |= emask << g
-        return RelativeIdeal(self.ambient, start, acc & ones(length), tail)
+        return RelativeIdeal(self.ambient, start, acc, tail)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """E : F = all z with z + F inside E; realizes Hom(F, E).
-
-        z + F lies in E exactly when z + f does for every minimal
-        generator f of F, so E : F is the intersection of E - f.
-        """
+        """E : F = all z with z + F inside E; realizes Hom(F, E)."""
         self._check_ambient(other)
-        start = self.offset - other.offset
-        length = self.conductor - self.offset
-        missing = self._missing()
-        bad = 0
-        for f in other._generators():
-            if f >= length:
-                break
-            bad |= missing >> f
-        return RelativeIdeal(self.ambient, start, ~bad & ones(length), start + length)
+        return _colon(self, other)
 
     def dual(self) -> "RelativeIdeal":
-        """S - E, the value set of Hom(E, S)."""
-        return unit_ideal(self.ambient).colon(self)
+        """S - E, the value set of Hom(E, S), with S itself as the left side."""
+        return _colon(self.ambient, self)
 
     def bidual(self) -> "RelativeIdeal":
         return self.dual().dual()
@@ -213,14 +204,46 @@ def generate(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeIdeal:
     return RelativeIdeal(S, start, acc, tail)
 
 
+def _colon(A: _ValueSet, F: RelativeIdeal) -> RelativeIdeal:
+    """A : F over F's ambient, for A that ambient S itself or an ideal over it.
+
+    z + F lies in A exactly when z + f does for every minimal generator f
+    of F, so A : F is the intersection of A - f: one shift of A's gap
+    mask per generator.  S has the offset, conductor, window and gap mask
+    of the unit ideal, so the dual S : F needs no unit ideal built.
+    """
+    start = A.offset - F.offset
+    length = A.conductor - A.offset
+    missing = A._missing()
+    bad = 0
+    for f in F._generators():
+        if f >= length:
+            break
+        bad |= missing >> f
+    return RelativeIdeal(F.ambient, start, ~bad, start + length)
+
+
 def unit_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """S considered as an ideal over itself."""
+    """S considered as an ideal over itself.
+
+    The duals, the identity tests and reduction's start all read S
+    itself, which has this ideal's offset, conductor, window and gap
+    mask; the unit ideal is built only where an operation takes a
+    RelativeIdeal argument, as in a length quotient over S.
+    """
     return RelativeIdeal(S, 0, S._window, S.conductor)
 
 
 def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """The positive elements of S."""
     return RelativeIdeal(S, 1, S._window >> 1, max(S.conductor, 1))
+
+
+def _canonical_key(S: NumericalSemigroup) -> tuple[int, int]:
+    """The key of K: conductor c(S) and the window of x in [0, c(S)) with
+    frobenius - x a gap, the gap mask of S read backwards."""
+    c = S.conductor
+    return c, reverse_bits(S._missing(), c)
 
 
 def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
@@ -231,10 +254,8 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     the chosen shift) that dualizes exactly: (K : (K : E)) = E for every
     relative ideal E.
     """
-    c = S.conductor
-    if c == 0:
-        return unit_ideal(S)
-    return RelativeIdeal(S, 0, reverse_bits(S._missing(), c), c)
+    c, window = _canonical_key(S)
+    return RelativeIdeal(S, 0, window, c)
 
 
 # -- lengths and reductions ----------------------------------------------
@@ -265,22 +286,29 @@ def reduction(ideal: RelativeIdeal) -> int:
     a + E^r exactly when the two have the same key, and E^0 = S has
     S's key.
 
-    r is at most the genus g of S.  The shifted powers E_n = nE - na form
-    a chain S = E_0, E_1, ... inside the nonnegative integers: a in E
-    gives E_(n-1) inside E_n, and min nE = na keeps E_n nonnegative.
-    E_(r+1) = E_r implies E_(r+2) = E_r + E - a = E_(r+1), so the chain
-    grows strictly until it stops.  It starts from S, which misses g
-    nonnegative integers, so it grows at most g times.  The loop runs
-    g + 1 steps; running past them can only be an implementation bug.
+    r is at most e0 - 1, e0 the multiplicity of S (Lipman, Stable ideals
+    and Arf rings, Amer. J. Math. 93, 1971; Eakin-Sathaye, Prestable
+    ideals, J. Algebra 41, 1976).  Their hypotheses hold here.  The ring
+    R = k[[t^S]] is a one-dimensional Cohen-Macaulay local domain of
+    multiplicity e0, and for N > -min E the monomial ideal I = t^N E is
+    m-primary with the reduction number of E.  A monomial ideal has at
+    most e0 minimal generators, one per class mod e0, so
+    mu(I^e0) <= e0 < e0 + 1, and Eakin-Sathaye give I^e0 = x I^(e0-1)
+    for some x once the residue field is infinite; extending k keeps
+    every value set.  Taking values, e0 E' = v(x) + (e0 - 1) E' with
+    E' = N + E; comparing minima gives v(x) = N + a, so
+    e0 E = a + (e0 - 1) E: the reduction by t^a used here stops by then
+    too.  The loop runs e0 steps, at most genus + 1 since 1, ..., e0 - 1
+    are gaps; running past them can only be an implementation bug.
     """
     S = ideal.ambient
     prev = S.key()
     cur = ideal
-    for r in range(S.genus + 1):
+    for r in range(S.multiplicity):
         key = cur.key()
         if key == prev:
             if cur.product(ideal).key() != key:
                 raise InternalInvariantViolation("reduction did not stabilize")
             return r
         prev, cur = key, cur.product(ideal)
-    raise InternalInvariantViolation("reduction did not stabilize within genus + 1 steps")
+    raise InternalInvariantViolation("reduction did not stabilize within multiplicity steps")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 
 from .errors import FullSemigroup, TooLarge
-from .ideals import RelativeIdeal, canonical_ideal, length_quotient, maximal_ideal
+from .ideals import RelativeIdeal, _canonical_key, length_quotient
 from .semigroup import NumericalSemigroup
 
 #: Enumeration is refused above this genus.  The worst case of a genus g
@@ -52,22 +52,46 @@ def is_principal(E: RelativeIdeal) -> bool:
 
 
 def is_canonical(E: RelativeIdeal) -> bool:
-    """True iff E is a shift of the canonical ideal."""
-    return E.key() == canonical_ideal(E.ambient).key()
+    """True iff E is a shift of the canonical ideal.
+
+    K's key is read off the gap mask of S, the way canonical_ideal
+    builds K, so no K is built.
+    """
+    return E.key() == _canonical_key(E.ambient)
+
+
+def _maximal_sum(E: RelativeIdeal) -> RelativeIdeal:
+    """M + E, the union of g + E over the minimal generators g of S.
+
+    It starts at min E + e0, e0 the multiplicity, and holds every
+    integer from conductor(E) + e0 on, so g + E contributes its window
+    shifted by g - e0; M itself is not built.
+    """
+    S = E.ambient
+    m = S.multiplicity
+    length = E.conductor - E.offset
+    window = E._ext(E.conductor)
+    acc = 0
+    for g in S.generators:
+        if g - m >= length:
+            break
+        acc |= window << (g - m)
+    return RelativeIdeal(S, E.offset + m, acc, E.conductor + m)
 
 
 def socle_witnesses(E: RelativeIdeal) -> list[tuple[int, int]]:
     """All (c, n) with M + E inside c + S and n = lambda(E/(c + S)).
 
-    By the gap mask of S, the same for every c: for c <= min(M + E),
-    M + E lies in c + S iff no element of M + E below c + conductor(S)
-    is c plus a gap of S.  Then c + S lies in E, and both hold every
-    integer from the larger conductor on, so |E minus (c + S)| is
-    c - min E + genus(S) less the integers of [min E, conductor(E))
-    missing from E.
+    M + E is formed as the union of g + E over the generators g of S,
+    with no M built.  By the gap mask of S, the same for every c: for
+    c <= min(M + E), M + E lies in c + S iff no element of M + E below
+    c + conductor(S) is c plus a gap of S.  Then c + S lies in E, and
+    both hold every integer from the larger conductor on, so
+    |E minus (c + S)| is c - min E + genus(S) less the integers of
+    [min E, conductor(E)) missing from E.
     """
     S = E.ambient
-    me = maximal_ideal(S).product(E)
+    me = _maximal_sum(E)
     gaps = S._missing()
     near = me._ext(me.offset + S.conductor)
     base = S.genus - E.offset - E._missing().bit_count()

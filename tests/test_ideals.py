@@ -201,16 +201,18 @@ def test_reduction_matches_the_power_oracle_everywhere():
             assert reduction(E.shift(5)) == want, (S, E)
 
 
-def test_reduction_past_the_genus_bound_is_a_bug(monkeypatch):
-    # the index of K over <5,7,9> is 4, which a genus of 4 allows; a
-    # semigroup claiming genus 3 leaves the loop too few steps, which
-    # only a bug could cause
+def test_reduction_past_the_multiplicity_bound_is_a_bug(monkeypatch):
+    # the index of K over <5,7,9> is 4 = e0 - 1, which the multiplicity 5
+    # allows; a semigroup claiming multiplicity 4 leaves the loop too few
+    # steps, which only a bug could cause.  K's generators are listed
+    # first, so the claimed multiplicity reaches only the loop bound.
     S = NumericalSemigroup([5, 7, 9])
-    S.genus = 4
-    assert reduction(canonical_ideal(S)) == 4
-    S.genus = 3
+    K = canonical_ideal(S)
+    K.minimal_generators()
+    assert reduction(K) == 4 == S.multiplicity - 1
+    S.multiplicity = 4
     with pytest.raises(InternalInvariantViolation) as info:
-        reduction(canonical_ideal(S))
+        reduction(K)
     # the benchmark files the old fixed-cap error as a known defect and
     # leaves it out of its failure count; this error must not match it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -11,6 +11,7 @@ from nsdeg import (
     unit_ideal,
 )
 from nsdeg.lab import (
+    _maximal_sum,
     enumerate_ideals,
     gap_subset_mask,
     is_canonical,
@@ -86,6 +87,31 @@ def test_socle_witnesses_match_plain_sets():
                     assert got.get(c) == want[c]
             checked += 1
     assert checked > 1000
+
+
+def test_profile_paths_match_the_built_ideals():
+    # every ideal of every ring of genus <= 9: the dual with S as its left
+    # side, the canonical test by key and the M + E of socle_witnesses
+    # against the unit, canonical and maximal ideals built, and the dual
+    # against the plain-set colon
+    checked = 0
+    for S in enumerate_semigroups(9):
+        if S.conductor == 0:
+            continue
+        c = S.conductor
+        bound = 2 * c + 2
+        s_elems = semigroup_set(list(S.generators), bound)
+        U, K, M = unit_ideal(S), canonical_ideal(S), maximal_ideal(S)
+        for E in enumerate_ideals(S):
+            D = E.dual()
+            assert D == U.colon(E), (S, E)
+            assert is_canonical(E) == (E.key() == K.key()), (S, E)
+            assert _maximal_sum(E) == M.product(E), (S, E)
+            e_elems = {z for z in range(bound) if z in E}
+            assert D.conductor <= c, (S, E)
+            assert {z for z in range(-1, c + 1) if z in D} == colon_set(s_elems, e_elems, -1, c + 1, bound), (S, E)
+            checked += 1
+    assert checked == 22365
 
 
 def test_is_canonical():

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._bits import reverse_bits
 from .errors import FullSemigroup, InternalInvariantViolation
-from .ideals import canonical_ideal, length_quotient, maximal_ideal, reduction, unit_ideal
+from .ideals import RelativeIdeal, canonical_ideal, length_quotient, maximal_ideal, reduction
 from .semigroup import NumericalSemigroup
 
 
 def cdeg(S: NumericalSemigroup) -> int:
-    """Canonical degree: lambda(K / (min K + S)) = |K \\ S|."""
-    return length_quotient(canonical_ideal(S), unit_ideal(S))
+    """Canonical degree: lambda(K / (min K + S)) = |K \\ S|, over S itself."""
+    return length_quotient(canonical_ideal(S), S)
 
 
 def ddeg(S: NumericalSemigroup) -> int:
@@ -35,14 +36,31 @@ def ddeg(S: NumericalSemigroup) -> int:
 
 
 def tdeg(S: NumericalSemigroup) -> int:
-    """Trace degree: lambda(S / tr(K)); equals ddeg in this setting."""
-    K = canonical_ideal(S)
-    return length_quotient(unit_ideal(S), K.trace())
+    """Trace degree: lambda(S / tr(K)), over S itself; equals ddeg in this setting."""
+    return length_quotient(S, canonical_ideal(S).trace())
 
 
 def canonical_index(S: NumericalSemigroup) -> int:
     """Reduction number of the canonical ideal; 0 iff Gorenstein."""
     return reduction(canonical_ideal(S))
+
+
+def _blowup_ideal(S: NumericalSemigroup) -> RelativeIdeal:
+    """T = M - M as an ideal over S, checked to be a ring.
+
+    T is formed by one colon.  It contains 0, and it is a semigroup
+    exactly when it is closed under adding its own generators as an
+    S-module (its construction already checked S's), so a wrong colon
+    raises InternalInvariantViolation here.
+    """
+    if S.conductor == 0:
+        raise FullSemigroup("M - M is undefined for the full semigroup")
+    M = maximal_ideal(S)
+    T = M.colon(M)
+    if T.offset != 0:
+        raise InternalInvariantViolation("M - M does not contain 0")
+    T._check_closed(T._generators()[1:], T._missing())
+    return T
 
 
 def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
@@ -51,15 +69,11 @@ def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
     T = M - M is a ring containing S, so T's positive generators as an
     S-module together with the generators of S generate T as a semigroup.
     The colon has already computed T's window and conductor, so the
-    semigroup is built from them, with no closure or run search; the
-    window constructor checks that it is closed under those generators.
+    semigroup is built from them, with no closure or run search.
+    ``classify`` does not build it; it stays as the reference for the
+    change-of-ring check's left side.
     """
-    if S.conductor == 0:
-        raise FullSemigroup("M - M is undefined for the full semigroup")
-    M = maximal_ideal(S)
-    T = M.colon(M)
-    if T.offset != 0:
-        raise InternalInvariantViolation("M - M does not contain 0")
+    T = _blowup_ideal(S)
     return NumericalSemigroup._from_window(
         T._window, T.conductor, [*T.minimal_generators()[1:], *S.generators]
     )
@@ -81,8 +95,8 @@ def tcdeg_check(S: NumericalSemigroup) -> TcdegCheck:
     """Verify the change-of-ring identity for A = M : M.
 
     The residue-extension degree is 1 here because M : M is again a
-    semigroup ring over the same field.  The left side goes through the
-    derived semigroup, the right side only through invariants of S.
+    semigroup ring over the same field.  The left side reads only the
+    value set of M : M, the right side only invariants of S.
     """
     if S.conductor == 0:
         raise FullSemigroup("the identity is degenerate for the full semigroup")
@@ -93,10 +107,15 @@ def _tcdeg(S: NumericalSemigroup, cd: int) -> TcdegCheck:
     """Both sides of the identity, given cd = cdeg(S).
 
     The right side needs only cd and invariants of S, so a caller that
-    has counted cd already builds no second K; the left side still counts
-    cdeg on the ring of M : M.
+    has counted cd already builds no second K.  The left side reads only
+    the value set of T = M : M: cdeg(T) = |K_T minus T| counts the gaps x
+    of T with F_T - x also a gap, which is T's gap mask ANDed with its
+    reversal over [0, c_T).  So it builds no semigroup for T, and no K_T
+    or U_T.
     """
-    lhs = cdeg(endomorphism_blowup(S))
+    T = _blowup_ideal(S)
+    missing = T._missing()
+    lhs = (missing & reverse_bits(missing, T.conductor)).bit_count()
     rhs = cd + S.multiplicity - 2 * S.type
     return TcdegCheck(lhs, rhs, lhs == rhs)
 
@@ -154,24 +173,24 @@ def classify(S: NumericalSemigroup) -> DegreeReport:
     """Full degree report with internal consistency cross-checks.
 
     K and K* are built once and every degree is read from them, K* and
-    K** through ``dual``; U is built only for the two lengths over S.
-    The single-invariant functions above stay as the reference for tests.
-    ddeg and tdeg share K* but part after it: one goes through K**,
-    the other through tr K = K * K*.  The change-of-ring check reads its
-    right side off this cdeg; its left side counts cdeg on the ring of
-    M : M.
+    K** through ``dual``; the two lengths over S take S itself, so no
+    unit ideal is built.  The single-invariant functions above stay as
+    the reference for tests.  ddeg and tdeg share K* but part after it:
+    one goes through K**, the other through tr K = K * K*.  The
+    change-of-ring check reads its right side off this cdeg; its left
+    side counts cdeg of M : M on that ideal's gap mask, building no
+    semigroup for it.
 
     The cross-checks (cdeg >= type - 1; Gorenstein <=> cdeg = 0 <=>
     ddeg = 0) are theorems, so a failure is an implementation bug and
     raises InternalInvariantViolation.
     """
     r = S.type
-    U = unit_ideal(S)
     K = canonical_ideal(S)
     K_dual = K.dual()
-    cd = length_quotient(K, U)
+    cd = length_quotient(K, S)
     dd = length_quotient(K_dual.dual(), K)
-    td = length_quotient(U, K_dual.product(K))
+    td = length_quotient(S, K_dual.product(K))
     ci = reduction(K)
     gorenstein = r == 1
 

@@ -26,13 +26,15 @@ Numerical Semigroups, 2009)
 f ranging over the minimal generators of F.  One colon kernel serves
 E : F and the dual S : F alike: its left side is any value set over
 F's ambient, and S is the left side of every dual, so no dual or
-bidual builds a unit ideal.  An ideal's minimal generators are E minus
-(M + E), where M + E is the union of g + E over the minimal generators
-g of S; each ideal computes them once, on first use.  An operation
-thus costs one shift per generator of its argument F rather than one
-per element of its window, so callers pass the factor with fewer
-generators as the argument: the canonical ideal K has only type(S)
-generators, and its dual has at least as many.  The reduction loop
+bidual builds a unit ideal.  A length quotient takes S itself on either
+side in the same way, so no degree over S builds one either.  An
+ideal's minimal generators are E minus (M + E), where M + E is the
+union of g + E over the minimal generators g of S; each ideal computes
+them once, on first use, except the maximal ideal, whose generators are
+those of S.  An operation thus costs one shift per generator of its
+argument F rather than one per element of its window, so callers pass
+the factor with fewer generators as the argument: the canonical ideal K
+has only type(S) generators, and its dual has at least as many.  The reduction loop
 multiplies each power by E, so a power's own generators are never
 computed; it is bounded by the multiplicity of S, a theorem (see
 :func:`reduction`), not by a fixed count.
@@ -114,10 +116,6 @@ class RelativeIdeal(_ValueSet):
 
     # -- lattice and multiplicative operations ---------------------------
 
-    def _check_ambient(self, other: "RelativeIdeal") -> None:
-        if self.ambient is not other.ambient and self.ambient != other.ambient:
-            raise AmbientMismatch("ideals live over different ambient semigroups")
-
     def product(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Ideal product: the Minkowski sum of the two value sets.
 
@@ -129,7 +127,7 @@ class RelativeIdeal(_ValueSet):
         factors' conductor - offset, and every relative ideal E contains
         min E + S, so conductor - offset <= c(S) <= DEFAULT_WINDOW_CAP.
         """
-        self._check_ambient(other)
+        _check_ambients(self, other)
         start = self.offset + other.offset
         tail = min(self.conductor + other.offset, other.conductor + self.offset)
         length = tail - start
@@ -143,7 +141,7 @@ class RelativeIdeal(_ValueSet):
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """E : F = all z with z + F inside E; realizes Hom(F, E)."""
-        self._check_ambient(other)
+        _check_ambients(self, other)
         return _colon(self, other)
 
     def dual(self) -> "RelativeIdeal":
@@ -204,6 +202,15 @@ def generate(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeIdeal:
     return RelativeIdeal(S, start, acc, tail)
 
 
+def _check_ambients(E: _ValueSet, F: _ValueSet) -> None:
+    """Raise AmbientMismatch unless E and F live over one semigroup,
+    S itself living over S."""
+    A = E if isinstance(E, NumericalSemigroup) else E.ambient
+    B = F if isinstance(F, NumericalSemigroup) else F.ambient
+    if A is not B and A != B:
+        raise AmbientMismatch("ideals live over different ambient semigroups")
+
+
 def _colon(A: _ValueSet, F: RelativeIdeal) -> RelativeIdeal:
     """A : F over F's ambient, for A that ambient S itself or an ideal over it.
 
@@ -226,17 +233,26 @@ def _colon(A: _ValueSet, F: RelativeIdeal) -> RelativeIdeal:
 def unit_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """S considered as an ideal over itself.
 
-    The duals, the identity tests and reduction's start all read S
-    itself, which has this ideal's offset, conductor, window and gap
-    mask; the unit ideal is built only where an operation takes a
-    RelativeIdeal argument, as in a length quotient over S.
+    The duals, the identity tests, reduction's start and the length
+    quotients over S all read S itself, which has this ideal's offset,
+    conductor, window and gap mask; the unit ideal is built only where
+    an operation takes it as an argument, as in the product E * S or the
+    colon E : S.
     """
     return RelativeIdeal(S, 0, S._window, S.conductor)
 
 
 def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """The positive elements of S."""
-    return RelativeIdeal(S, 1, S._window >> 1, max(S.conductor, 1))
+    """The positive elements of S, with its minimal generators those of S.
+
+    M's minimal generators are M minus (M + M), and that set is the
+    minimal generating system of S (Rosales-Garcia-Sanchez, Numerical
+    Semigroups, 2009, ch. 1), so they are read off S, shifted by min M =
+    e0, with no scan of M's window.
+    """
+    M = RelativeIdeal(S, 1, S._window >> 1, max(S.conductor, 1))
+    M._gens = [g - S.multiplicity for g in S.generators]
+    return M
 
 
 def _canonical_key(S: NumericalSemigroup) -> tuple[int, int]:
@@ -261,12 +277,17 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 # -- lengths and reductions ----------------------------------------------
 
 
-def length_quotient(big: RelativeIdeal, small: RelativeIdeal) -> int:
+def length_quotient(big: _ValueSet, small: _ValueSet) -> int:
     """lambda(E/F) = |E minus F| for F contained in E.
 
-    Raises NotContained (with a witness element) if F is not inside E.
+    Either side may be S itself, which stands for the unit ideal: it has
+    the unit ideal's offset, conductor and window, so cdeg = lambda(K/S)
+    and tdeg = lambda(S/tr K) build no unit ideal.  S must then be the
+    other side's ambient, as for the left side of a colon; ideals over
+    different semigroups raise AmbientMismatch.  Raises NotContained
+    (with a witness element) if F is not inside E.
     """
-    big._check_ambient(small)
+    _check_ambients(big, small)
     anchor = min(big.offset, small.offset)
     stop = max(big.conductor, small.conductor)
     b = big._ext(stop) << (big.offset - anchor)

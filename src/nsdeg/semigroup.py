@@ -41,26 +41,29 @@ from .errors import (
 
 #: Hard cap on frobenius + 1; exceeding it is an input error, not a crash.
 #: Budget: one ring at the cap builds and classifies in about a second on
-#: one core and in under 100 MB.  Measured on a 2-vCPU host, Python 3.11:
-#: <1730,1731,1733> (F = 998,209, canonical index 864), the slowest of the
-#: <m, m+1, m+3> rings tried near the cap, takes 0.44 to 0.57 s, and its
-#: Herzog matrix 1.0 to 1.9 ms more; <1000,1001> (F = 998,999, genus
-#: 499,500) takes 0.04 to 0.05 s.  Either peaks at 22 MB of
-#: process memory.  A ring holds its 125 kB window and no list of its
-#: gaps (that list would be 18 MB); each ideal's window is 125 kB.
+#: one core and in under 100 MB.  Measured on a 2-vCPU host, Python 3.11,
+#: seven runs each over three processes: <1730,1731,1733> (F = 998,209,
+#: canonical index 864), the slowest of the <m, m+1, m+3> rings tried
+#: near the cap, takes 0.29 to 0.41 s, and its Herzog matrix 0.8 to 1.4 ms
+#: more; <1000,1001> (F = 998,999, genus 499,500) takes 0.012 to 0.024 s.
+#: Either peaks at 22 MB of process memory.  A ring holds its 125 kB
+#: window and no list of its gaps (that list would be 18 MB); each
+#: ideal's window is 125 kB.
 DEFAULT_WINDOW_CAP = 10**6
 
 _INT64_MAX = 2**63 - 1
 
 
-def _closure_window(gens: list[int], bound: int) -> int:
+def _closure_window(gens: list[int], bound: int, mask: int) -> int:
     """Membership mask of the monoid generated by ``gens`` on [0, bound).
 
-    Fixpoint of shift-or closure; per generator the shift doubles, so the
-    cost is logarithmic in ``bound`` rather than linear.
+    Fixpoint of shift-or closure from ``mask``, which must hold 0 and lie
+    inside the closure: the closure on a shorter window qualifies, so a
+    caller that widens the window restarts from the narrower result.
+    Per generator the shift doubles, so the cost is logarithmic in
+    ``bound`` rather than linear.
     """
     cap = ones(bound)
-    mask = 1
     while True:
         before = mask
         for g in gens:
@@ -166,11 +169,14 @@ class NumericalSemigroup(_ValueSet):
             raise Overflow(f"multiplicity {m} exceeds the window cap {DEFAULT_WINDOW_CAP}")
 
         # Grow the window until it shows m consecutive members; the first
-        # such run starts exactly at the conductor.
+        # such run starts exactly at the conductor.  The closure on the
+        # narrower window lies inside the closure on the wider one, so each
+        # round resumes the fixpoint from it.
         limit = DEFAULT_WINDOW_CAP + m + 1
         bound = min(max(2 * m + 2, 64), limit)
+        mask = 1
         while True:
-            mask = _closure_window(gens, bound)
+            mask = _closure_window(gens, bound, mask)
             runs = runs_of_length(mask, m)
             if runs:
                 break

@@ -391,6 +391,15 @@ def _json_row(row: dict) -> str:
     return text + "\n    }"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (it honours ``taskset`` and container CPU sets),
+    else the host's CPU count, and 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
     """Evaluate every ring up to the genus bound, write the report to out.
 
@@ -411,7 +420,7 @@ def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
     node = partial(_sweep_node, check_herzog=cfg.check_herzog)
     # More workers than CPUs only add processes; the report still echoes
     # the requested parallelism.
-    workers = min(cfg.parallelism, os.cpu_count() or 1)
+    workers = min(cfg.parallelism, _usable_cpus())
     try:
         with ExitStack() as stack:
             try:

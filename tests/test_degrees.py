@@ -4,6 +4,7 @@ import pytest
 
 from nsdeg import (
     FullSemigroup,
+    InternalInvariantViolation,
     NumericalSemigroup,
     canonical_index,
     cdeg,
@@ -13,6 +14,7 @@ from nsdeg import (
     tcdeg_check,
     tdeg,
 )
+from nsdeg.ideals import RelativeIdeal, generate
 from nsdeg.sweep import enumerate_semigroups
 
 S579 = NumericalSemigroup([5, 7, 9])
@@ -187,6 +189,41 @@ def test_tcdeg_check():
     assert (chk.lhs, chk.rhs, chk.equal) == (0, 0, True)
     with pytest.raises(FullSemigroup):
         tcdeg_check(FULL)
+
+
+def test_tcdeg_lhs_on_the_gap_mask_matches_the_blowup_ring():
+    # classify counts cdeg(M : M) on the ideal's gap mask; the ring of
+    # M : M, with its own K and U, stays the reference
+    for S in enumerate_semigroups(12):
+        if S.genus:
+            assert classify(S).tcdeg.lhs == cdeg(endomorphism_blowup(S)), S
+    for gens in ([101, 203, 307], [1001, 1003, 1009], [1730, 1731, 1733]):
+        S = NumericalSemigroup(gens)
+        assert classify(S).tcdeg.lhs == cdeg(endomorphism_blowup(S)), gens
+
+
+def test_tcdeg_lhs_matches_a_plain_set_count():
+    # T = M : M from the plain-set colon; cdeg(T) counts the gaps x of T
+    # with F_T - x also a gap
+    from oracles import colon_set, semigroup_set
+
+    for S in enumerate_semigroups(9):
+        if not S.genus:
+            continue
+        c = S.conductor
+        bound = 2 * c + S.multiplicity + 2
+        m_set = semigroup_set(list(S.generators), bound) - {0}
+        t_gaps = set(range(c)) - colon_set(m_set, m_set, 0, c, bound)
+        f_t = max(t_gaps, default=-1)
+        assert classify(S).tcdeg.lhs == sum(f_t - x in t_gaps for x in t_gaps), S
+
+
+def test_tcdeg_rejects_a_colon_that_is_no_ring(monkeypatch):
+    # S + {0, 3} over <5,7,9> is an ideal containing 0, but 3 + 3 = 6 is
+    # outside it: the closure check on M : M must catch such a colon
+    monkeypatch.setattr(RelativeIdeal, "colon", lambda E, F: generate(S579, [0, 3]))
+    with pytest.raises(InternalInvariantViolation):
+        classify(S579)
 
 
 def test_report_serialization():

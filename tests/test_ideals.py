@@ -252,6 +252,39 @@ def test_ambient_mismatch():
         length_quotient(unit_ideal(S579), unit_ideal(S345))
 
 
+def test_maximal_ideal_generators_and_lengths_over_S():
+    for S in enumerate_semigroups(12):
+        # M's generators come from S's; a freshly built M scans its window
+        scanned = RelativeIdeal(S, 1, S._window >> 1, max(S.conductor, 1))
+        M = maximal_ideal(S)
+        assert M.minimal_generators() == scanned.minimal_generators() == list(S.generators), S
+        assert M == scanned
+
+        # S itself on either side of a length stands for the unit ideal
+        U, K = unit_ideal(S), canonical_ideal(S)
+        trace = K.trace()
+        assert length_quotient(K, S) == length_quotient(K, U)
+        assert length_quotient(S, trace) == length_quotient(U, trace)
+        assert length_quotient(S, M) == length_quotient(U, M) == 1
+        assert length_quotient(S, S) == 0
+        assert length_quotient(K, NumericalSemigroup(S.generators)) == length_quotient(K, U)
+        # the same witness as with U: K is outside S unless S is symmetric,
+        # and S is never inside M
+        pairs = [((M, S), (M, U))] + ([((S, K), (U, K))] if K != U else [])
+        for with_s, with_u in pairs:
+            with pytest.raises(NotContained) as direct:
+                length_quotient(*with_s)
+            with pytest.raises(NotContained) as via_unit:
+                length_quotient(*with_u)
+            assert direct.value.witness == via_unit.value.witness, S
+
+        foreign = S345 if S != S345 else S579
+        with pytest.raises(AmbientMismatch):
+            length_quotient(K, foreign)
+        with pytest.raises(AmbientMismatch):
+            length_quotient(foreign, trace)
+
+
 def _small_family():
     for S in enumerate_semigroups(6):
         if S.genus == 0:

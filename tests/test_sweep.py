@@ -297,13 +297,24 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch, tmp_path):
         return json.loads((tmp_path / name).read_text())
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    # the CPUs the process may run on count, not the host's
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = report("serial.json", 1)
     pooled = report("pooled.json", 64)
     assert sizes == [2]
     assert pooled["rings"] == serial["rings"]
     assert pooled["config"]["parallelism"] == 64
+    # pinned to one CPU (taskset -c 0), --jobs 2 runs in-process
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0})
+    assert report("pinned.json", 2)["rings"] == serial["rings"]
+    assert sizes == [2]
+    # without an affinity call, the host's CPU count caps the pool
+    monkeypatch.delattr(sweep.os, "sched_getaffinity")
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+    assert report("host.json", 64)["rings"] == serial["rings"]
+    assert sizes == [2, 3]
     # an unknown CPU count means one worker, which runs in-process
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
     assert report("unknown.json", 3)["rings"] == serial["rings"]
-    assert sizes == [2]
+    assert sizes == [2, 3]

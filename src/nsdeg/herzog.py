@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .degrees import cdeg, ddeg
+from .degrees import DegreeReport, cdeg, ddeg
 from .errors import (
     AmbiguousDecomposition,
     InternalInvariantViolation,
@@ -196,11 +196,22 @@ class HerzogConsistency:
         }
 
 
-def herzog_consistency(S: NumericalSemigroup) -> HerzogConsistency:
-    """Compare the closed forms with the value-set computations."""
+def herzog_consistency(S: NumericalSemigroup, report: DegreeReport | None = None) -> HerzogConsistency:
+    """Compare the closed forms with the value-set computations.
+
+    The direct cdeg and ddeg are those of ``report``, a caller's
+    ``classify(S)``, so K, K* and K** are not built a second time;
+    without one they are counted here.  Either way they come from the
+    value sets and the formula from the exponents, so the check stays
+    independent.
+    """
     data = herzog_matrix(S)
-    direct_d = ddeg(S)
-    direct_c = cdeg(S)
+    if report is None:
+        direct_d, direct_c = ddeg(S), cdeg(S)
+    elif report.generators != S.generators:
+        raise ValueError(f"degree report of {list(report.generators)} given for {S!r}")
+    else:
+        direct_d, direct_c = report.ddeg, report.cdeg
     return HerzogConsistency(
         formula_ddeg=data.ddeg_formula,
         direct_ddeg=direct_d,

@@ -257,9 +257,16 @@ def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 
 def _canonical_key(S: NumericalSemigroup) -> tuple[int, int]:
     """The key of K: conductor c(S) and the window of x in [0, c(S)) with
-    frobenius - x a gap, the gap mask of S read backwards."""
-    c = S.conductor
-    return c, reverse_bits(S._missing(), c)
+    frobenius - x a gap, the gap mask of S read backwards.
+
+    The reversal is made once per ring, on first use, and kept on S, so
+    K, the canonicality test of every ideal and the Herzog path's cdeg
+    and ddeg share it; a ring that never asks for K never reverses.
+    """
+    if S._k_key is None:
+        c = S.conductor
+        S._k_key = (c, reverse_bits(S._missing(), c))
+    return S._k_key
 
 
 def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:

@@ -6,6 +6,12 @@ setting, and the enumeration below makes that an exhaustively checkable
 statement: every normalized relative ideal with minimum 0 is S plus a
 set of gaps that is stable under adding generators.
 
+The flags read what is fixed per ring off the semigroup, once: closedness
+tests E against the pseudo-Frobenius numbers of S, whose mask the
+construction of S keeps, so no E : E is formed; canonicality compares
+E's key with K's, reversed once per ring and cached on S.  Only ints are
+cached there, so no reference cycle ties a ring to its ideals.
+
 The canonicality test of a closed ideal via a socle condition needs an
 Ext-vanishing hypothesis that has no value-set criterion; profiles
 therefore carry the socle witnesses as data, and a closed non-canonical
@@ -24,21 +30,40 @@ from .semigroup import NumericalSemigroup
 
 #: Enumeration is refused above this genus.  The worst case of a genus g
 #: is the ordinary semigroup <g+1, ..., 2g+1>, all 2**g of whose gap
-#: subsets are ideals.  ``nsdeg lab --enumerate-ideals`` on it took 6.3 s
-#: at genus 16, 14.3 s at 17, 28.4 s at 18 and 48.0 s at 19 (one core of
-#: a 2-vCPU host, Python 3.11): about double per genus.  The budget is one
-#: minute for the worst case, so the cap is 19; genus 20 would take about
-#: 96 s.
+#: subsets are ideals.  ``nsdeg lab --enumerate-ideals`` on it took 3.5 s
+#: at genus 16, 6.0 s at 17, 16.3 s at 18 and 33.0 s at 19 (one run each
+#: on one core of a 2-vCPU host, Python 3.11.7): about double per genus.
+#: The budget is one minute for the worst case, so the cap is 19; genus
+#: 20 would take about 66 s.  Memory: the enumeration lists its 2**19
+#: gap-subset masks at genus 19 before the first ideal, 22 MiB at its
+#: peak (tracemalloc); the whole command peaks at 126 MB of process memory.
 DEFAULT_ENUMERATION_CAP = 19
 
 
 def is_closed(E: RelativeIdeal) -> bool:
-    """True iff E : E = S.
+    """True iff E : E = S, decided by the pseudo-Frobenius numbers of S.
 
-    E : E contains 0, and z + min E in E forces z >= 0, so its minimum
-    is 0 and it equals S exactly when it is principal.
+    E : E is never formed.  It is False exactly when some x in PF(S) has
+    x + E inside E, one shift of E's window against its gap mask per x
+    (Rosales-Garcia-Sanchez, Numerical Semigroups, 2009, ch. 2-4):
+
+    * T = E : E is a numerical semigroup containing S: it holds 0, is
+      closed under addition and contains S since E is an ideal, and a
+      negative z would put z + min E below min E.
+    * If T != S, let x = max(T minus S).  For every positive s in S,
+      x + s lies in T and exceeds x, so it lies in S: x is in PF(S).
+    * Conversely, any gap of S inside T shows T != S.
+
+    PF(S) is the mask the semigroup's construction counts its type from.
     """
-    return is_principal(E.colon(E))
+    window, missing = E._window, E._missing()
+    pf = E.ambient._pf
+    while pf:
+        x = pf.bit_length() - 1
+        if not (window << x) & missing:
+            return False
+        pf ^= 1 << x
+    return True
 
 
 def is_reflexive(E: RelativeIdeal) -> bool:
@@ -54,8 +79,9 @@ def is_principal(E: RelativeIdeal) -> bool:
 def is_canonical(E: RelativeIdeal) -> bool:
     """True iff E is a shift of the canonical ideal.
 
-    K's key is read off the gap mask of S, the way canonical_ideal
-    builds K, so no K is built.
+    K's key is the gap mask of S read backwards, the window canonical_ideal
+    builds K from; it is reversed once per ring and cached on S, so no K
+    is built and no reversal is repeated per ideal.
     """
     return E.key() == _canonical_key(E.ambient)
 
@@ -157,6 +183,10 @@ def enumerate_ideals(S: NumericalSemigroup) -> Iterator[RelativeIdeal]:
     with g + generator in S union G for every g in G.  Gap subsets are
     emitted in increasing bitmask order (bit i = i-th smallest gap), so
     S comes first and the full semigroup last.
+
+    The admissible subsets are listed as int masks in one flat pass
+    before the first ideal is yielded, then sorted; each ideal is built
+    from its mask through the validating constructor as it is yielded.
     """
     if S.conductor == 0:
         raise FullSemigroup("the full semigroup only carries its own shifts")
@@ -164,21 +194,16 @@ def enumerate_ideals(S: NumericalSemigroup) -> Iterator[RelativeIdeal]:
         raise TooLarge(f"genus {S.genus} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
     # Gap subsets are held as position masks (bit g set: the gap g is
-    # chosen); choosing the i-th gap requires the gaps in required[i],
-    # those it reaches by adding a generator.  Numbering the gaps in
-    # increasing order keeps the order of the masks the same.
-    gaps = S.gaps
+    # chosen); choosing the gap g requires the gaps in g + generators,
+    # all above g.  Deciding the gaps from the highest down, each subset
+    # chosen so far is kept and, when it holds every gap g requires,
+    # extended by g.  Position masks order like the gap-index masks.
     gap_mask = S._missing()
     gen_mask = sum(1 << m for m in S.generators)
-    required = [(gen_mask << g) & gap_mask for g in gaps]
-
-    def rec(i: int, chosen: int) -> Iterator[int]:
-        if i < 0:
-            yield chosen
-            return
-        yield from rec(i - 1, chosen)
-        if required[i] & ~chosen == 0:
-            yield from rec(i - 1, chosen | (1 << gaps[i]))
-
-    for chosen in rec(len(gaps) - 1, 0):
+    subsets = [0]
+    for g in reversed(S.gaps):
+        bit, need = 1 << g, (gen_mask << g) & gap_mask
+        subsets += [c | bit for c in subsets if not need & ~c]
+    subsets.sort()
+    for chosen in subsets:
         yield RelativeIdeal(S, 0, S._window | chosen, S.conductor)

@@ -16,13 +16,15 @@ check; :class:`NumericalSemigroup` and the relative ideals of
 The construction computes the Frobenius number, the genus (by counting
 the window's set bits), the minimal generating system and the type, the
 number of pseudo-Frobenius numbers, counted off a mask without listing
-them.  The gaps are listed from the window only when asked for, so a
+them; that mask is kept, as an int, for the closedness test of
+``lab.py``.  The gaps are listed from the window only when asked for, so a
 ring of genus in the hundreds of thousands holds one int, not a tuple
 of that many.  A semigroup whose window another
 computation already holds (the ring of M : M) is built from that
 window, with the same generator pass and no closure or run search.
-Instances are immutable after construction and safe to share between
-threads or processes.
+Instances are immutable after construction, apart from one cache that
+is filled on first use with a value fixed by the window (K's key), and
+safe to share between threads or processes.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ class NumericalSemigroup(_ValueSet):
         "multiplicity",
         "embedding_dim",
         "type",
+        # only ints are cached, so no reference cycle ties a ring to its
+        # ideals: the pseudo-Frobenius mask (bit x set: x in PF(S)) and
+        # K's key, filled on first use by ideals._canonical_key
+        "_pf",
+        "_k_key",
     )
 
     def __init__(self, generators: Iterable[int]):
@@ -227,8 +234,11 @@ class NumericalSemigroup(_ValueSet):
         self.multiplicity = mingens[0]
         self.embedding_dim = len(mingens)
 
+        # Reversing the gap mask here would add work to every construction.
+        self._k_key: tuple[int, int] | None = None
         if conductor == 0:
             self.type = 1  # DVR convention
+            self._pf = 0
         else:
             # x is pseudo-Frobenius iff x is a gap and x + g in S for
             # every minimal generator g; the type counts them.
@@ -236,7 +246,8 @@ class NumericalSemigroup(_ValueSet):
             acc = ones(conductor)
             for g0 in mingens:
                 acc &= ext >> g0
-            self.type = (acc & ~window).bit_count()
+            self._pf = acc & ~window
+            self.type = self._pf.bit_count()
 
     # -- classical invariants ------------------------------------------
 

@@ -76,11 +76,12 @@ HARD_MAX_GENUS = 33
 #: Budget: the pass may take at most an eighth of a serial genus <= 18
 #: sweep.  Its cost about doubles per genus, led by the ordinary semigroup
 #: <g+1, ..., 2g+1>, all 2**g of whose gap subsets are ideals: that one
-#: ring's pass takes 0.013, 0.033 and 0.070 s at g = 10, 11 and 12.
-#: Measured on a 2-vCPU host, Python 3.11.7: the genus <= 18 sweep
-#: (33,282 rings) took 5.2 to 6.1 s without the pass; the pass over the
-#: 477 rings of genus 1 to 10 takes 0.58 s, a tenth of the sweep, and
-#: over the 820 of genus 1 to 11 it takes 1.57 s, over a fifth.  The
+#: ring's pass takes 0.005, 0.011 and 0.028 s at g = 10, 11 and 12.
+#: Measured on a 2-vCPU host, Python 3.11.7, in-process: the serial
+#: genus <= 18 sweep (33,282 rings) took 3.5 to 6.0 s with the pass,
+#: 4.1 s in the median of four runs.  The pass over the 477 rings of
+#: genus 1 to 10 takes 0.29 to 0.30 s, about 7 % of the sweep, and over
+#: the 820 of genus 1 to 11 it takes 0.51 to 0.70 s, about 15 %.  The
 #: budget allows genus 10.
 IDEAL_CHECK_GENUS = 10
 #: Most rings a worker evaluates per task.
@@ -222,7 +223,7 @@ def evaluate_ring(S: NumericalSemigroup, check_herzog: bool = False) -> dict:
     herzog_realized = None
     if check_herzog and S.embedding_dim == 3 and not symmetric:
         try:
-            hc = herzog_consistency(S)
+            hc = herzog_consistency(S, report)
             props["herzog"] = hc.ddeg_match and hc.cdeg_in_candidates
             first = hc.data.a1 * hc.data.b1 * hc.data.c1
             second = hc.data.a2 * hc.data.b2 * hc.data.c2

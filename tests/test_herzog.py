@@ -10,6 +10,7 @@ from nsdeg import (
     NumericalSemigroup,
     SymmetricSemigroup,
     cdeg,
+    classify,
     ddeg,
     herzog_consistency,
     herzog_matrix,
@@ -102,6 +103,27 @@ def test_formula_matches_direct_on_small_family():
             continue
         assert hc.ddeg_match, S
         assert hc.cdeg_in_candidates, S
+
+
+def test_consistency_from_a_degree_report_matches_the_direct_counts():
+    # the sweep passes classify's report; the one-argument call counts
+    # cdeg and ddeg itself, and both give the same verdicts and values
+    checked = unoriented = 0
+    for S in enumerate_semigroups(12):
+        if S.embedding_dim != 3 or S.genus == 0 or S.is_symmetric():
+            continue
+        try:
+            alone = herzog_consistency(S)
+        except NoValidOrientation:
+            with pytest.raises(NoValidOrientation):
+                herzog_consistency(S, classify(S))
+            unoriented += 1
+            continue
+        assert herzog_consistency(S, classify(S)) == alone, S
+        checked += 1
+    assert (checked, unoriented) == (71, 1)  # the one without: <7, 9, 10>
+    with pytest.raises(ValueError, match="degree report"):
+        herzog_consistency(NumericalSemigroup([5, 7, 9]), classify(NumericalSemigroup([7, 9, 11])))
 
 
 def test_structural_candidate_inequality():

@@ -20,7 +20,7 @@ from nsdeg import (
     unit_ideal,
 )
 from nsdeg._bits import bit_positions, indecomposables, ones, reverse_bits
-from nsdeg.ideals import RelativeIdeal
+from nsdeg.ideals import RelativeIdeal, _canonical_key
 from nsdeg.lab import enumerate_ideals
 from nsdeg.sweep import enumerate_semigroups
 
@@ -231,6 +231,19 @@ def test_reduction_number_at_most_multiplicity_minus_one():
             continue
         for E in enumerate_ideals(S):
             assert reduction(E) <= S.multiplicity - 1, (S, E)
+
+
+def test_cached_canonical_key_matches_a_fresh_reversal():
+    # the key is reversed on first use only, and then read back from S
+    rings = [S for S in enumerate_semigroups(10)]
+    rings += [NumericalSemigroup(g) for g in ([101, 203, 307], [1001, 1003, 1009])]
+    for S in rings:
+        assert S._k_key is None
+        c = S.conductor
+        fresh = (c, reverse_bits(S._missing(), c))
+        assert _canonical_key(S) == fresh, S
+        assert S._k_key is _canonical_key(S)
+        assert canonical_ideal(S).key() == fresh, S
 
 
 def test_canonical_ideal_values():

@@ -37,6 +37,29 @@ def test_is_closed():
     assert 11 in T and 13 in T
 
 
+def _unnormalized_ideals(S):
+    """K, M, K*, tr K and K * K, none of minimum 0 with window S's, and shifts."""
+    K, M = canonical_ideal(S), maximal_ideal(S)
+    base = (K, M, K.dual(), K.trace(), K.product(K))
+    return [F for E in base for F in (E, E.shift(5), E.shift(-7))]
+
+
+def test_is_closed_by_pseudo_frobenius_matches_the_colon():
+    # the pseudo-Frobenius test against E : E formed and compared with S,
+    # on ideals the enumeration does not reach
+    rings = [S for S in enumerate_semigroups(12) if S.conductor > 0]
+    rings.append(NumericalSemigroup([101, 203, 307]))
+    closed = not_closed = 0
+    for S in rings:
+        for E in _unnormalized_ideals(S):
+            want = is_principal(E.colon(E))
+            assert is_closed(E) == want, (S, E)
+            closed += want
+            not_closed += not want
+    assert len(rings) == 1413
+    assert closed and not_closed
+
+
 def test_reflexive_and_principal():
     M = maximal_ideal(S579)
     assert is_reflexive(M)
@@ -164,7 +187,7 @@ def test_enumerate_small_cases():
 
 
 def test_enumerate_matches_brute_force_everywhere():
-    for S in enumerate_semigroups(7):
+    for S in enumerate_semigroups(9):
         if S.genus == 0:
             continue
         got = [gap_subset_mask(E) for E in enumerate_ideals(S)]

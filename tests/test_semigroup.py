@@ -77,6 +77,24 @@ def test_pseudo_frobenius_definition_scan():
     assert S.type == len(expected)
 
 
+def test_pseudo_frobenius_mask_matches_plain_sets():
+    # the mask the type is counted from, kept for the closedness test,
+    # against the definition on plain sets
+    checked = 0
+    for S in enumerate_semigroups(10):
+        if S.conductor == 0:
+            assert S._pf == 0
+            continue
+        bound = 2 * S.conductor + 2
+        s_elems = semigroup_set(list(S.generators), bound)
+        positives = [s for s in s_elems if 0 < s <= S.conductor]
+        want = [x for x in range(S.conductor) if x not in s_elems and all(x + s in s_elems for s in positives)]
+        assert [x for x in range(S.conductor) if S._pf >> x & 1] == want, S
+        assert S._pf.bit_length() <= S.conductor
+        checked += 1
+    assert checked == 477
+
+
 def test_is_symmetric():
     assert NumericalSemigroup([2, 3]).is_symmetric()
     assert not NumericalSemigroup([5, 7, 9]).is_symmetric()

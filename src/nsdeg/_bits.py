@@ -1,4 +1,11 @@
-"""Bitset helpers on plain Python ints (bit i = membership of i)."""
+"""Bitset helpers on plain Python ints (bit i = membership of i).
+
+:func:`shift_union` is the one sum kernel.  E + F is the union of f + E
+over the generators f of F, an OR of shifted copies of E's mask, so each
+sum of value sets is one call: an ideal generated by a set, a product,
+M + E, and the sums :func:`indecomposables` removes to leave the minimal
+generators.
+"""
 
 from __future__ import annotations
 
@@ -41,20 +48,29 @@ def bit_positions(mask: int) -> list[int]:
     return list(compress(count(), digits.encode().translate(_DIGIT_BYTES)))
 
 
+def shift_union(mask: int, shifts: Iterable[int], width: int) -> int:
+    """The union of ``mask << s`` over the shifts s below ``width``.
+
+    The shifts may come in any order.  Callers read only the bits below
+    ``width``, onto which a shift at or past it moves nothing, so it is
+    skipped; the bits above are left for them to drop, as the ideal
+    constructor's own mask and ``indecomposables``' AND with ``mask`` do.
+    """
+    acc = 0
+    for s in shifts:
+        if s < width:
+            acc |= mask << s
+    return acc
+
+
 def indecomposables(mask: int, shifts: Iterable[int]) -> list[int]:
     """Set bits of a nonnegative mask that are not a set bit plus a shift.
 
     With ``mask`` the positive elements of a semigroup or the elements of
     an ideal, and ``shifts`` generators of the semigroup, these are the
-    minimal generators.  A shift at or past the mask's width moves no bit
-    onto it and is skipped.
+    minimal generators.
     """
-    width = mask.bit_length()
-    sums = 0
-    for s in shifts:
-        if s < width:
-            sums |= mask << s
-    return bit_positions(mask & ~sums)
+    return bit_positions(mask & ~shift_union(mask, shifts, mask.bit_length()))
 
 
 def reverse_bits(mask: int, width: int) -> int:
@@ -73,14 +89,3 @@ def reverse_bits(mask: int, width: int) -> int:
     nbytes = (width + 7) // 8
     reversed_bytes = (mask & ones(width)).to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
     return int.from_bytes(reversed_bytes, "big") >> (8 * nbytes - width)
-
-
-def runs_of_length(mask: int, n: int) -> int:
-    """Mask of positions i such that bits i .. i+n-1 are all set."""
-    result = mask
-    have = 1
-    while have < n and result:
-        step = min(have, n - have)
-        result &= result >> step
-        have += step
-    return result

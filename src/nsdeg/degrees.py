@@ -68,15 +68,13 @@ def endomorphism_blowup(S: NumericalSemigroup) -> NumericalSemigroup:
 
     T = M - M is a ring containing S, so T's positive generators as an
     S-module together with the generators of S generate T as a semigroup.
-    The colon has already computed T's window and conductor, so the
-    semigroup is built from them, with no closure or run search.
-    ``classify`` does not build it; it stays as the reference for the
-    change-of-ring check's left side.
+    It is built from those generators by the semigroup's own closure, so
+    its window is computed independently of the colon's.  ``classify``
+    does not build it; it stays as the reference for the change-of-ring
+    check's left side.
     """
     T = _blowup_ideal(S)
-    return NumericalSemigroup._from_window(
-        T._window, T.conductor, [*T.minimal_generators()[1:], *S.generators]
-    )
+    return NumericalSemigroup([*T.minimal_generators()[1:], *S.generators])
 
 
 @dataclass(frozen=True)

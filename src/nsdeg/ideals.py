@@ -23,21 +23,24 @@ Numerical Semigroups, 2009)
 
     E + F = union of f + E,   E : F = intersection of E - f,
 
-f ranging over the minimal generators of F.  One colon kernel serves
-E : F and the dual S : F alike: its left side is any value set over
-F's ambient, and S is the left side of every dual, so no dual or
-bidual builds a unit ideal.  A length quotient takes S itself on either
-side in the same way, so no degree over S builds one either.  An
-ideal's minimal generators are E minus (M + E), where M + E is the
-union of g + E over the minimal generators g of S; each ideal computes
-them once, on first use, except the maximal ideal, whose generators are
-those of S.  An operation thus costs one shift per generator of its
-argument F rather than one per element of its window, so callers pass
-the factor with fewer generators as the argument: the canonical ideal K
-has only type(S) generators, and its dual has at least as many.  The reduction loop
-multiplies each power by E, so a power's own generators are never
-computed; it is bounded by the multiplicity of S, a theorem (see
-:func:`reduction`), not by a fixed count.
+f ranging over the minimal generators of F.  Each has one kernel.
+Every sum (a generated ideal, a product, and the sums M + E that give an
+ideal's minimal generators) is one call of ``_bits.shift_union``.  One
+colon kernel, :func:`_colon`, serves E : F and the dual S : F alike:
+its left side is any value set over F's ambient, and S is the left side
+of every dual, so no dual or bidual builds a unit ideal.  A length
+quotient takes S itself on either side in the same way, so no degree
+over S builds one either.  An ideal's minimal generators are E minus
+(M + E), where M + E is the union of g + E over the minimal generators g
+of S; each ideal computes them once, on first use, except the maximal
+ideal, whose generators are those of S.  An operation thus costs one
+shift per generator of its argument F rather than one per element of
+its window, so callers pass the factor with fewer generators as the
+argument: the canonical ideal K has only type(S) generators, and its
+dual has at least as many.  The reduction loop multiplies each power by
+E, so a power's own generators are never computed; it is bounded by the
+multiplicity of S, a theorem (see :func:`reduction`), not by a fixed
+count.
 
 All operations are pure; results are re-normalized and re-validated on
 construction, so a bug in any operation surfaces immediately as an
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ._bits import bit_positions, indecomposables, lowest_bit, ones, reverse_bits
+from ._bits import bit_positions, indecomposables, lowest_bit, ones, shift_union
 from .errors import (
     AmbientMismatch,
     EmptyGenerators,
@@ -131,12 +134,7 @@ class RelativeIdeal(_ValueSet):
         start = self.offset + other.offset
         tail = min(self.conductor + other.offset, other.conductor + self.offset)
         length = tail - start
-        emask = self._ext(self.offset + length)
-        acc = 0
-        for g in other._generators():
-            if g >= length:
-                break
-            acc |= emask << g
+        acc = shift_union(self._ext(self.offset + length), other._generators(), length)
         return RelativeIdeal(self.ambient, start, acc, tail)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
@@ -194,12 +192,8 @@ def generate(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeIdeal:
     if not vals:
         raise EmptyGenerators("an ideal needs at least one generator")
     start = vals[0]
-    tail = start + S.conductor
-    acc = 0
-    for v in vals:
-        if v < tail:
-            acc |= S._ext(tail - v) << (v - start)
-    return RelativeIdeal(S, start, acc, tail)
+    acc = shift_union(S._window, [v - start for v in vals], S.conductor)
+    return RelativeIdeal(S, start, acc, start + S.conductor)
 
 
 def _check_ambients(E: _ValueSet, F: _ValueSet) -> None:
@@ -255,20 +249,6 @@ def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     return M
 
 
-def _canonical_key(S: NumericalSemigroup) -> tuple[int, int]:
-    """The key of K: conductor c(S) and the window of x in [0, c(S)) with
-    frobenius - x a gap, the gap mask of S read backwards.
-
-    The reversal is made once per ring, on first use, and kept on S, so
-    K, the canonicality test of every ideal and the Herzog path's cdeg
-    and ddeg share it; a ring that never asks for K never reverses.
-    """
-    if S._k_key is None:
-        c = S.conductor
-        S._k_key = (c, reverse_bits(S._missing(), c))
-    return S._k_key
-
-
 def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """The canonical ideal K = { x : frobenius - x not in S }, min 0.
 
@@ -277,7 +257,7 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     the chosen shift) that dualizes exactly: (K : (K : E)) = E for every
     relative ideal E.
     """
-    c, window = _canonical_key(S)
+    c, window = S.canonical_key()
     return RelativeIdeal(S, 0, window, c)
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 
 from .errors import FullSemigroup, TooLarge
-from .ideals import RelativeIdeal, _canonical_key, length_quotient
+from ._bits import shift_union
+from .ideals import RelativeIdeal, length_quotient
 from .semigroup import NumericalSemigroup
 
 #: Enumeration is refused above this genus.  The worst case of a genus g
@@ -83,26 +84,20 @@ def is_canonical(E: RelativeIdeal) -> bool:
     builds K from; it is reversed once per ring and cached on S, so no K
     is built and no reversal is repeated per ideal.
     """
-    return E.key() == _canonical_key(E.ambient)
+    return E.key() == E.ambient.canonical_key()
 
 
 def _maximal_sum(E: RelativeIdeal) -> RelativeIdeal:
     """M + E, the union of g + E over the minimal generators g of S.
 
-    It starts at min E + e0, e0 the multiplicity, and holds every
-    integer from conductor(E) + e0 on, so g + E contributes its window
-    shifted by g - e0; M itself is not built.
+    It is E's window shifted by each g, read from min E: it starts at
+    min E + e0, e0 the multiplicity, and holds every integer from
+    conductor(E) + e0 on.  M itself is not built.
     """
     S = E.ambient
-    m = S.multiplicity
-    length = E.conductor - E.offset
-    window = E._ext(E.conductor)
-    acc = 0
-    for g in S.generators:
-        if g - m >= length:
-            break
-        acc |= window << (g - m)
-    return RelativeIdeal(S, E.offset + m, acc, E.conductor + m)
+    width = E.conductor - E.offset + S.multiplicity
+    acc = shift_union(E._window, S.generators, width)
+    return RelativeIdeal(S, E.offset, acc, E.offset + width)
 
 
 def socle_witnesses(E: RelativeIdeal) -> list[tuple[int, int]]:

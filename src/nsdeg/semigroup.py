@@ -13,18 +13,19 @@ membership test, extension mask, gap mask, translation key and closure
 check; :class:`NumericalSemigroup` and the relative ideals of
 ``ideals.py`` are its two kinds.
 
-The construction computes the Frobenius number, the genus (by counting
-the window's set bits), the minimal generating system and the type, the
-number of pseudo-Frobenius numbers, counted off a mask without listing
-them; that mask is kept, as an int, for the closedness test of
-``lab.py``.  The gaps are listed from the window only when asked for, so a
-ring of genus in the hundreds of thousands holds one int, not a tuple
-of that many.  A semigroup whose window another
-computation already holds (the ring of M : M) is built from that
-window, with the same generator pass and no closure or run search.
-Instances are immutable after construction, apart from one cache that
-is filled on first use with a value fixed by the window (K's key), and
-safe to share between threads or processes.
+Every semigroup is built one way, from a generating set: the closure of
+the generators on a window that doubles until m members, m the least
+generator, follow its last gap, which puts the conductor right after
+that gap.  The construction then computes the Frobenius number, the
+genus (by counting the window's set bits), the minimal generating
+system and the type, the number of pseudo-Frobenius numbers, counted
+off a mask without listing them; that mask is kept, as an int, for the
+closedness test of ``lab.py``.  The gaps are listed from the window
+only when asked for, so a ring of genus in the hundreds of thousands
+holds one int, not a tuple of that many.  Instances are immutable after
+construction, apart from one cache that is filled on first use with a
+value fixed by the window (K's key, :meth:`NumericalSemigroup.canonical_key`),
+and safe to share between threads or processes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from ._bits import bit_positions, indecomposables, lowest_bit, ones, reverse_bits, runs_of_length
+from ._bits import bit_positions, indecomposables, ones, reverse_bits
 from .errors import (
     EmptyGenerators,
     FullSemigroup,
@@ -154,7 +155,7 @@ class NumericalSemigroup(_ValueSet):
         "type",
         # only ints are cached, so no reference cycle ties a ring to its
         # ideals: the pseudo-Frobenius mask (bit x set: x in PF(S)) and
-        # K's key, filled on first use by ideals._canonical_key
+        # K's key, filled on first use by canonical_key
         "_pf",
         "_k_key",
     )
@@ -175,47 +176,26 @@ class NumericalSemigroup(_ValueSet):
         if m > DEFAULT_WINDOW_CAP:
             raise Overflow(f"multiplicity {m} exceeds the window cap {DEFAULT_WINDOW_CAP}")
 
-        # Grow the window until it shows m consecutive members; the first
-        # such run starts exactly at the conductor.  The closure on the
-        # narrower window lies inside the closure on the wider one, so each
-        # round resumes the fixpoint from it.
+        # Grow the window until m members follow its last gap: they start
+        # exactly at the conductor, since a run of m members holds every
+        # integer after it.  The closure on the narrower window lies inside
+        # the closure on the wider one, so each round resumes the fixpoint
+        # from it.
         limit = DEFAULT_WINDOW_CAP + m + 1
         bound = min(max(2 * m + 2, 64), limit)
         mask = 1
         while True:
             mask = _closure_window(gens, bound, mask)
-            runs = runs_of_length(mask, m)
-            if runs:
+            conductor = (~mask & ones(bound)).bit_length()
+            if bound - conductor >= m:
                 break
             if bound >= limit:
                 raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
             bound = min(bound * 2, limit)
-
-        conductor = lowest_bit(runs)
         if conductor > DEFAULT_WINDOW_CAP:
             raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
 
-        self._set_window(mask & ones(conductor), conductor, gens)
-
-    @classmethod
-    def _from_window(cls, window: int, conductor: int, gens: list[int]) -> "NumericalSemigroup":
-        """The semigroup whose members below ``conductor`` are the set bits
-        of ``window``, for a semigroup derived from one already built.
-
-        ``gens`` must generate it; ``conductor - 1`` must be a gap.  The
-        window goes through the closure check every relative ideal goes
-        through, under adding each of ``gens``, so a window that is not a
-        semigroup raises InternalInvariantViolation.  Input from outside
-        goes through the full constructor.
-        """
-        S = cls.__new__(cls)
-        S._set_window(window, conductor, gens)
-        S._check_closed(gens, S._missing())
-        return S
-
-    def _set_window(self, window: int, conductor: int, gens: list[int]) -> None:
-        """Every invariant from the window below the conductor and a
-        generating set: the minimal generators and the type by mask passes."""
+        window = mask & ones(conductor)
         self.offset = 0
         self.conductor = conductor
         self.frobenius = conductor - 1
@@ -227,8 +207,6 @@ class NumericalSemigroup(_ValueSet):
         else:
             # A minimal generator is a positive element not of the form
             # s + t with s, t positive; all of them lie below conductor + m.
-            # Any generating set holds m, the multiplicity, as its least.
-            m = min(gens)
             mingens = tuple(indecomposables(self._ext(conductor + m) & ~1, gens))
         self.generators = mingens
         self.multiplicity = mingens[0]
@@ -248,6 +226,20 @@ class NumericalSemigroup(_ValueSet):
                 acc &= ext >> g0
             self._pf = acc & ~window
             self.type = self._pf.bit_count()
+
+    def canonical_key(self) -> tuple[int, int]:
+        """The key of the canonical ideal K: conductor c and the window of
+        x in [0, c) with frobenius - x a gap, the gap mask read backwards.
+
+        The reversal is made once, on first use, and kept in ``_k_key``,
+        so K, the canonicality test of every ideal and the Herzog path's
+        cdeg and ddeg share it; a ring that never asks for K never
+        reverses.
+        """
+        if self._k_key is None:
+            c = self.conductor
+            self._k_key = (c, reverse_bits(self._missing(), c))
+        return self._k_key
 
     # -- classical invariants ------------------------------------------
 

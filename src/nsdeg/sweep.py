@@ -116,6 +116,11 @@ CSV_COLUMNS = (
 )
 
 
+def _check_max_genus(max_genus: int) -> None:
+    if not 1 <= max_genus <= HARD_MAX_GENUS:
+        raise CapExceeded(f"max_genus must lie in [1, {HARD_MAX_GENUS}]")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     max_genus: int
@@ -125,8 +130,7 @@ class SweepConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
-        if not 1 <= self.max_genus <= HARD_MAX_GENUS:
-            raise CapExceeded(f"max_genus must lie in [1, {HARD_MAX_GENUS}]")
+        _check_max_genus(self.max_genus)
         if self.parallelism < 1:
             raise CapExceeded("parallelism must be a positive integer")
         if self.output_format not in ("csv", "json"):
@@ -163,8 +167,7 @@ def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
     Depth-first preorder; children are visited by increasing removed
     generator, so the order is deterministic.
     """
-    if not 1 <= max_genus <= HARD_MAX_GENUS:
-        raise CapExceeded(f"max_genus must lie in [1, {HARD_MAX_GENUS}]")
+    _check_max_genus(max_genus)
     stack = [(1,)]
     while stack:
         S = NumericalSemigroup(stack.pop())

@@ -6,8 +6,9 @@ translate.  A dual takes S itself as its left side and M + E is a union
 of shifts of E, so a profile builds no unit, canonical or maximal ideal,
 and closedness is tested against the pseudo-Frobenius numbers of S, so
 it builds no E : E; only ints are cached on the semigroup, so no
-reference cycle ties a ring to its ideals.  A classify builds no unit ideal and no ring for M : M.  A
-sweep builds each ring once per visit and its children's generators by
+reference cycle ties a ring to its ideals.  A classify builds no unit
+ideal and no ring for M : M.  A sweep builds each ring once per visit,
+through the one semigroup constructor, and its children's generators by
 mask arithmetic, not by construction.
 """
 
@@ -59,15 +60,14 @@ def test_constructions_per_classify(monkeypatch):
 
 
 def test_semigroups_per_swept_ring(monkeypatch):
-    # the ring itself from its generators; the change-of-ring check
-    # counts on the ideal M : M, so no ring is built from a window
-    full = _count_constructions(monkeypatch, NumericalSemigroup)
-    windowed = _count_constructions(monkeypatch, NumericalSemigroup, "_from_window")
-    node = partial(sweep._sweep_node, check_herzog=False)
+    # the ring itself from its generators, once per visit; every semigroup
+    # goes through the one constructor, and the change-of-ring check
+    # counts on the ideal M : M, so it builds no ring
+    counter = _count_constructions(monkeypatch, NumericalSemigroup)
+    node = partial(sweep._sweep_node, check_herzog=True)
     rings = sum(1 for _ in sweep._walk_levels(12, node))
     assert rings == 1413
-    assert full[0] <= rings
-    assert windowed[0] == 0
+    assert counter[0] == rings
 
 
 def test_degrees_and_profiles_leave_no_reference_cycles():

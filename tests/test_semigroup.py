@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -5,7 +7,6 @@ from nsdeg import (
     EmptyGenerators,
     FullSemigroup,
     GcdNotOne,
-    InternalInvariantViolation,
     NumericalSemigroup,
     Overflow,
 )
@@ -121,7 +122,11 @@ def test_construction_errors(monkeypatch):
 def test_window_cap_bounds_frobenius(monkeypatch):
     # frobenius of <2, 2001> is 1999; caps below that must refuse
     monkeypatch.setattr(semigroup, "DEFAULT_WINDOW_CAP", 1000)
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow, match="^frobenius number exceeds the window cap 1000$"):
+        NumericalSemigroup([2, 2001])
+    # conductor 2000, one past the cap: the window shows it, and the cap refuses it
+    monkeypatch.setattr(semigroup, "DEFAULT_WINDOW_CAP", 1999)
+    with pytest.raises(Overflow, match="^frobenius number exceeds the window cap 1999$"):
         NumericalSemigroup([2, 2001])
     monkeypatch.setattr(semigroup, "DEFAULT_WINDOW_CAP", 3000)
     S = NumericalSemigroup([2, 2001])
@@ -191,13 +196,38 @@ def test_window_closed_under_generators(gens):
 @example([43, 45])
 @example([53, 59])
 @example([61, 64])
+# a doubling round that ends with exactly m members after the last gap
+# stops there; one that ends with m - 1 of them doubles the window
+@example([2, 63])
+@example([8, 9])
+@example([16, 17])
+@example([3, 32])
+@example([3, 35])
 def test_gaps_match_oracle(gens):
     import math
 
     if math.gcd(*gens) != 1:
         return
-    S = NumericalSemigroup(gens)
-    assert list(S.gaps) == gaps_of(list(gens))
+    bounds = []
+    closure = semigroup._closure_window
+
+    def recording(gens, bound, mask):
+        bounds.append(bound)
+        return closure(gens, bound, mask)
+
+    with mock.patch.object(semigroup, "_closure_window", recording):
+        S = NumericalSemigroup(gens)
+    oracle = gaps_of(list(gens))
+    assert list(S.gaps) == oracle
+    conductor = oracle[-1] + 1 if oracle else 0
+    assert S.conductor == S.frobenius + 1 == conductor
+    # the window doubles from max(2m + 2, 64) and stops at the first
+    # bound with m members after the last gap
+    m = min(gens)
+    want = [max(2 * m + 2, 64)]
+    while want[-1] - conductor < m:
+        want.append(2 * want[-1])
+    assert bounds == want
 
 
 def test_genus_counts_the_gaps():
@@ -226,33 +256,18 @@ def test_two_generated_ring_near_the_cap_holds_no_gap_list():
     assert S.gaps == tuple(oracle)
 
 
-def _invariants(S):
-    return S.generators, S.frobenius, S.genus, S.type, S.multiplicity, S._window
-
-
-def test_window_constructor_matches_the_full_constructor():
-    # M : M of every ring of genus <= 12 and of a few larger ones, built
-    # from its window and, independently, from its generators
+def test_blowup_semigroup_matches_the_colon():
+    # M : M of every ring of genus <= 12 and of a few larger ones: the
+    # closure of its generators has the colon's window and conductor
     rings = [S for S in enumerate_semigroups(12) if S.genus]
     rings += [NumericalSemigroup(g) for g in ([7, 9, 10], [101, 203, 307], [1001, 1003, 1009])]
     for S in rings:
         M = maximal_ideal(S)
         T = M.colon(M)
-        gens = [*T.minimal_generators()[1:], *S.generators]
-        windowed = NumericalSemigroup._from_window(T._window, T.conductor, gens)
-        full = NumericalSemigroup(gens)
-        assert _invariants(windowed) == _invariants(full), S
-        assert _invariants(endomorphism_blowup(S)) == _invariants(full), S
+        blowup = endomorphism_blowup(S)
+        assert (blowup._window, blowup.conductor) == (T._window, T.conductor), S
+        assert blowup.offset == T.offset == 0, S
     assert len(rings) == 1415
-
-
-def test_window_not_closed_under_its_generators():
-    S = NumericalSemigroup([5, 7, 9])
-    # 7 left out of the window; 6, a gap, added to the generators.  Only
-    # the one generator shows each fault, so it is put first, then last.
-    for window, gens in ((S._window & ~(1 << 7), [7, 5, 9]), (S._window, [5, 7, 9, 6])):
-        with pytest.raises(InternalInvariantViolation, match="not closed under adding"):
-            NumericalSemigroup._from_window(window, S.conductor, gens)
 
 
 def test_semigroup_and_its_unit_ideal_are_one_value_set():

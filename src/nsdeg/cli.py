@@ -1,12 +1,19 @@
-"""Command-line front-end.
+"""Command-line front-end; one text-or-JSON emitter.
 
 Usage:
     nsdeg info --gens 5,7,9 [--json]
     nsdeg degrees --gens 5,7,9 [--json]
-    nsdeg ideal --gens 5,7,9 --ideal 0,2 --op bidual
+    nsdeg ideal --gens 5,7,9 --ideal 0,2 --op bidual [--json]
     nsdeg herzog --gens 5,7,9 [--json]
     nsdeg sweep --max-genus 12 --out report.csv --format csv
     nsdeg lab --gens 3,4,5 --enumerate-ideals
+
+``info``, ``degrees``, ``ideal`` and ``herzog`` each build a JSON payload
+and its text fields and print them through :func:`_emit`, as indented
+JSON or as ``key: value`` lines; ``ideal --op closed|reflexive`` prints
+one line either way.  ``--gens`` and ``--json`` are declared once and
+shared.  ``lab`` prints CSV and ``sweep`` a summary of the report file
+it writes.
 
 Exit codes: 0 clean, 1 usage, input or file error, 2 internal invariant
 violation, 3 theorem-assertion failure in a sweep.
@@ -14,8 +21,6 @@ violation, 3 theorem-assertion failure in a sweep.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 
@@ -36,9 +41,9 @@ from .semigroup import NumericalSemigroup
 from .sweep import SweepConfig, run_sweep
 
 
+# The options these parse are required, and click reports a missing one
+# before it calls the callback, so ``value`` is always a string.
 def _parse_int_list(ctx, param, value):
-    if value is None:
-        return None
     try:
         items = [int(tok) for tok in value.split(",") if tok.strip()]
     except ValueError:
@@ -50,7 +55,7 @@ def _parse_int_list(ctx, param, value):
 
 def _parse_positive_list(ctx, param, value):
     items = _parse_int_list(ctx, param, value)
-    if items is not None and any(x < 1 for x in items):
+    if any(x < 1 for x in items):
         raise click.BadParameter("expected positive integers")
     return items
 
@@ -65,8 +70,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _echo_fields(pairs) -> None:
-    for key, value in pairs:
+# Shared by every command that reads one ring, and by those that can
+# answer in JSON.
+_gens_option = click.option("--gens", required=True, callback=_parse_positive_list,
+                            help="Comma-separated semigroup generators, e.g. 5,7,9.")
+_json_option = click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
+
+
+def _emit(as_json: bool, payload: dict, fields) -> None:
+    """Print ``payload`` as indented JSON, or else one ``key: value`` line
+    per pair that ``fields()`` returns.  ``fields`` is called only for
+    text, so work that only the text needs is skipped under ``--json``."""
+    if as_json:
+        click.echo(json.dumps(payload, indent=2))
+        return
+    for key, value in fields():
         click.echo(f"{key}: {_fmt(value)}")
 
 
@@ -76,79 +94,59 @@ def cli():
 
 
 @cli.command()
-@click.option("--gens", required=True, callback=_parse_positive_list,
-              help="Comma-separated semigroup generators, e.g. 5,7,9.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
+@_gens_option
+@_json_option
 def info(gens, as_json):
     """Semigroup invariants: Frobenius number, genus, type, gaps."""
     S = NumericalSemigroup(gens)
-    if as_json:
-        click.echo(json.dumps(S.to_dict(), indent=2))
-        return
-    _echo_fields(S.to_dict().items())
-    click.echo(f"gaps: {_fmt(list(S.gaps))}")
+    payload = S.to_dict()
+    _emit(as_json, payload, lambda: [*payload.items(), ("gaps", S.gaps)])
 
 
 @cli.command()
-@click.option("--gens", required=True, callback=_parse_positive_list,
-              help="Comma-separated semigroup generators.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
+@_gens_option
+@_json_option
 def degrees(gens, as_json):
     """Full degree report: cdeg, ddeg, tdeg, canonical index, flags."""
-    report = classify(NumericalSemigroup(gens))
-    payload = report.to_dict()
-    if as_json:
-        click.echo(json.dumps(payload, indent=2))
-        return
-    flat = dict(payload)
-    idealization = flat.pop("idealization")
-    tc = flat.pop("tcdeg")
-    _echo_fields(flat.items())
-    _echo_fields(
-        [
-            ("idealization_cdeg", idealization["cdeg"]),
-            ("idealization_ddeg", idealization["ddeg"]),
-            ("tcdeg_lhs", None if tc is None else tc["lhs"]),
-            ("tcdeg_rhs", None if tc is None else tc["rhs"]),
-            ("tcdeg_equal", None if tc is None else tc["equal"]),
+    payload = classify(NumericalSemigroup(gens)).to_dict()
+
+    def fields():
+        flat = dict(payload)
+        idealization = flat.pop("idealization")
+        tc = flat.pop("tcdeg") or {}
+        return [
+            *flat.items(),
+            *((f"idealization_{key}", value) for key, value in idealization.items()),
+            *((f"tcdeg_{key}", tc.get(key)) for key in ("lhs", "rhs", "equal")),
         ]
-    )
+
+    _emit(as_json, payload, fields)
 
 
 @cli.command()
-@click.option("--gens", required=True, callback=_parse_positive_list,
-              help="Comma-separated semigroup generators.")
+@_gens_option
 @click.option("--ideal", "ideal_gens", required=True, callback=_parse_int_list,
               help="Comma-separated ideal generator values.")
 @click.option("--op", required=True,
               type=click.Choice(["bidual", "trace", "dual", "closed", "reflexive", "profile"]))
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
+@_json_option
 def ideal(gens, ideal_gens, op, as_json):
     """Ideal-calculus operations on the ideal generated by --ideal."""
-    S = NumericalSemigroup(gens)
-    E = generate(S, ideal_gens)
-
-    if op in ("dual", "bidual", "trace"):
-        result = getattr(E, op)()
-        if as_json:
-            click.echo(json.dumps(result.to_dict(), indent=2))
-            return
-        _echo_fields(
-            [
-                ("op", op),
-                ("offset", result.offset),
-                ("conductor", result.conductor),
-                ("elements_below_conductor", result.elements_below_conductor()),
-            ]
-        )
-        return
+    E = generate(NumericalSemigroup(gens), ideal_gens)
 
     if op in ("closed", "reflexive"):
         value = is_closed(E) if op == "closed" else is_reflexive(E)
-        if as_json:
-            click.echo(json.dumps({op: value}))
-        else:
-            click.echo(f"{op}: {_fmt(value)}")
+        click.echo(json.dumps({op: value}) if as_json else f"{op}: {_fmt(value)}")
+        return
+
+    if op in ("dual", "bidual", "trace"):
+        result = getattr(E, op)()
+        _emit(as_json, result.to_dict(), lambda: [
+            ("op", op),
+            ("offset", result.offset),
+            ("conductor", result.conductor),
+            ("elements_below_conductor", result.elements_below_conductor()),
+        ])
         return
 
     prof = profile_ideal(E)
@@ -163,40 +161,29 @@ def ideal(gens, ideal_gens, op, as_json):
         "socle_witnesses": [list(w) for w in prof.socle_witnesses],
         "ext_check_required": prof.needs_ext_check,
     }
-    if as_json:
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            if key == "socle_witnesses":
-                click.echo(f"{key}: {_fmt([f'{c}:{n}' for c, n in value])}")
-            else:
-                click.echo(f"{key}: {_fmt(value)}")
+    _emit(as_json, payload, lambda: {
+        **payload, "socle_witnesses": [f"{c}:{n}" for c, n in prof.socle_witnesses],
+    }.items())
 
 
 @cli.command()
-@click.option("--gens", required=True, callback=_parse_positive_list,
-              help="Comma-separated semigroup generators.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
+@_gens_option
+@_json_option
 def herzog(gens, as_json):
     """Matrix exponents and closed-form degree checks (3-generated case)."""
     result = herzog_consistency(NumericalSemigroup(gens))
-    if as_json:
-        payload = result.data.to_dict()
-        payload["consistency"] = result.to_dict()
-        click.echo(json.dumps(payload, indent=2))
-        return
-    _echo_fields(
-        [
-            ("assignment", result.data.assignment),
-            ("exponents", result.data.exponents),
-            ("ddeg_formula", result.formula_ddeg),
-            ("cdeg_candidates", result.data.cdeg_candidates),
-            ("direct_ddeg", result.direct_ddeg),
-            ("direct_cdeg", result.direct_cdeg),
-            ("ddeg_match", result.ddeg_match),
-            ("cdeg_in_candidates", result.cdeg_in_candidates),
-        ]
-    )
+    data = result.data
+    payload = {**data.to_dict(), "consistency": result.to_dict()}
+    _emit(as_json, payload, lambda: [
+        ("assignment", data.assignment),
+        ("exponents", data.exponents),
+        ("ddeg_formula", result.formula_ddeg),
+        ("cdeg_candidates", data.cdeg_candidates),
+        ("direct_ddeg", result.direct_ddeg),
+        ("direct_cdeg", result.direct_cdeg),
+        ("ddeg_match", result.ddeg_match),
+        ("cdeg_in_candidates", result.cdeg_in_candidates),
+    ])
 
 
 @cli.command()
@@ -246,44 +233,33 @@ def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path
 
 
 @cli.command()
-@click.option("--gens", required=True, callback=_parse_positive_list,
-              help="Comma-separated semigroup generators.")
+@_gens_option
 @click.option("--enumerate-ideals", "do_enumerate", is_flag=True, required=True)
 def lab(gens, do_enumerate):
     """Profile every normalized relative ideal of a small semigroup (CSV)."""
     S = NumericalSemigroup(gens)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "generators",
-            "gap_subset_mask",
-            "closed",
-            "reflexive",
-            "principal",
-            "canonical",
-            "rel_ddeg",
-            "socle_witness_count",
-            "ext_check_required",
-        ]
-    )
     gens_str = ";".join(str(g) for g in S.generators)
+    # No field holds a comma, a quote or a newline, so a row is its fields
+    # joined by commas.  Every row is built before the first is printed,
+    # so a ring that fails to enumerate prints nothing.
+    rows = [
+        "generators,gap_subset_mask,closed,reflexive,principal,canonical,"
+        "rel_ddeg,socle_witness_count,ext_check_required"
+    ]
     for E in enumerate_ideals(S):
         prof = profile_ideal(E)
-        writer.writerow(
-            [
-                gens_str,
-                gap_subset_mask(E),
-                _fmt(prof.is_closed),
-                _fmt(prof.is_reflexive),
-                _fmt(prof.is_principal),
-                _fmt(prof.is_canonical),
-                prof.rel_ddeg,
-                len(prof.socle_witnesses),
-                _fmt(prof.needs_ext_check),
-            ]
-        )
-    click.echo(buf.getvalue(), nl=False)
+        rows.append(",".join(_fmt(v) for v in (
+            gens_str,
+            gap_subset_mask(E),
+            prof.is_closed,
+            prof.is_reflexive,
+            prof.is_principal,
+            prof.is_canonical,
+            prof.rel_ddeg,
+            len(prof.socle_witnesses),
+            prof.needs_ext_check,
+        )))
+    click.echo("\n".join(rows))
 
 
 def main(argv=None) -> int:

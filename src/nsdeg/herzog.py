@@ -120,10 +120,16 @@ def _minimal_relation(g: int, u: int, v: int) -> tuple[int, dict[int, int]]:
 def herzog_matrix(S: NumericalSemigroup) -> HerzogData:
     """Matrix exponents of a minimally 3-generated, non-symmetric semigroup.
 
-    Searches the six assignments with the first slot ascending and the
-    second descending, returning the first one whose exponents are all
-    positive, sum to the minimal pure powers and satisfy the inequality
-    normalization.  The relation identities are re-verified on the result.
+    A generator's exponent pair is its two coefficients in the minimal
+    relations of the other two generators, whichever variable it plays.
+    By Herzog's theorem (Generators and relations of abelian semigroups
+    and semigroup rings, Manuscripta Math. 3, 1970) both are positive and
+    they sum to the generator's own minimal multiple; as neither depends
+    on the assignment, both are checked once, and a failure is a bug.
+    Then the six assignments are searched with the first slot ascending
+    and the second descending, and the first one satisfying the
+    inequality normalization is returned.  The relation identities are
+    re-verified on the result.
     """
     if S.embedding_dim != 3:
         raise NotThreeGenerated(
@@ -139,21 +145,21 @@ def herzog_matrix(S: NumericalSemigroup) -> HerzogData:
     for g in gens:
         u, v = (x for x in gens if x != g)
         relation[g] = _minimal_relation(g, u, v)
+    for g, (n, _) in relation.items():
+        pair = [rep[g] for h, (_, rep) in relation.items() if h != g]
+        if min(pair) < 1 or sum(pair) != n:
+            raise InternalInvariantViolation(
+                f"exponents {pair} of {g} are not a positive split of its minimal multiple {n}"
+            )
 
     for a in gens:
         others = [x for x in gens if x != a]
         for b in sorted(others, reverse=True):
             c = others[0] if others[1] == b else others[1]
-            n_a, rep_a = relation[a]
-            n_b, rep_b = relation[b]
-            n_c, rep_c = relation[c]
+            rep_a, rep_b, rep_c = (relation[x][1] for x in (a, b, c))
             b2, c1 = rep_a[b], rep_a[c]
             a1, c2 = rep_b[a], rep_b[c]
             a2, b1 = rep_c[a], rep_c[b]
-            if min(a1, a2, b1, b2, c1, c2) < 1:
-                continue
-            if a1 + a2 != n_a or b1 + b2 != n_b or c1 + c2 != n_c:
-                continue
             if not (a1 <= a2 and b2 <= b1 and c1 <= c2):
                 continue
             data = HerzogData((a, b, c), a1, a2, b1, b2, c1, c2)

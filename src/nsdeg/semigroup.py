@@ -60,27 +60,30 @@ _INT64_MAX = 2**63 - 1
 def _closure_window(gens: list[int], bound: int, mask: int) -> int:
     """Membership mask of the monoid generated by ``gens`` on [0, bound).
 
-    Fixpoint of shift-or closure from ``mask``, which must hold 0 and lie
-    inside the closure: the closure on a shorter window qualifies, so a
-    caller that widens the window restarts from the narrower result.
-    Per generator the shift doubles, so the cost is logarithmic in
-    ``bound`` rather than linear.
+    Shift-or closure from ``mask``, which must hold 0 and lie inside the
+    closure: the closure on a shorter window qualifies, so a caller that
+    widens the window restarts from the narrower result.
+
+    One pass over the generators is enough.  For a generator g the shifts
+    g, 2g, 4g, ... turn the mask X into X + {0, g, ..., (2^j - 1)g}; they
+    stop once the shift reaches the bound, or once that mask is closed
+    under 2^j g, which then makes it hold X + <g>.  So the pass ends with
+    X + <g1> + ... + <gk>: it holds 0 + <g1, ..., gk>, the whole closure,
+    and lies inside it, so it is closed under every gi.  The window only
+    cuts off its top, since no element below the bound comes from one
+    above it.  Per generator the shift doubles, so the cost is
+    logarithmic in ``bound`` rather than linear.
     """
     cap = ones(bound)
-    while True:
-        before = mask
-        for g in gens:
-            if g >= bound:
-                continue
-            step = g
-            while step < bound:
-                grown = (mask | (mask << step)) & cap
-                if grown == mask:
-                    break
-                mask = grown
-                step <<= 1
-        if mask == before:
-            return mask
+    for g in gens:
+        step = g
+        while step < bound:
+            grown = (mask | (mask << step)) & cap
+            if grown == mask:
+                break
+            mask = grown
+            step <<= 1
+    return mask
 
 
 class _ValueSet:
@@ -179,7 +182,7 @@ class NumericalSemigroup(_ValueSet):
         # Grow the window until m members follow its last gap: they start
         # exactly at the conductor, since a run of m members holds every
         # integer after it.  The closure on the narrower window lies inside
-        # the closure on the wider one, so each round resumes the fixpoint
+        # the closure on the wider one, so each round resumes the closure
         # from it.
         limit = DEFAULT_WINDOW_CAP + m + 1
         bound = min(max(2 * m + 2, 64), limit)
@@ -187,11 +190,12 @@ class NumericalSemigroup(_ValueSet):
         while True:
             mask = _closure_window(gens, bound, mask)
             conductor = (~mask & ones(bound)).bit_length()
-            if bound - conductor >= m:
+            if bound - conductor >= m or bound >= limit:
                 break
-            if bound >= limit:
-                raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
             bound = min(bound * 2, limit)
+        # Stopping at the limit with fewer than m members after the last
+        # gap leaves that gap at limit - m = cap + 1 or above, so this one
+        # test also refuses a window that never found the conductor.
         if conductor > DEFAULT_WINDOW_CAP:
             raise Overflow(f"frobenius number exceeds the window cap {DEFAULT_WINDOW_CAP}")
 

@@ -308,6 +308,179 @@ def test_computational_errors_verbatim(capsys):
     assert "NoValidOrientation" in err
 
 
+# One line per invocation: the command line (split on single spaces, so
+# two spaces hold an empty argument) -> exit code and the first 16 hex
+# digits of the sha256 of stdout, a NUL byte and stderr, as first
+# recorded.  Every command, every --op, text and --json, on rings from
+# the full one to conductors near 10**5, and the input errors; a change
+# to any byte of any of these outputs breaks it.
+CLI_GOLDEN = {
+    "info --gens 1": (0, "5d1f5c7938dbc02a"),
+    "info --gens 1 --json": (0, "d9273a83b1c5446f"),
+    "degrees --gens 1": (0, "94d07ad8434b3746"),
+    "degrees --gens 1 --json": (0, "d6714ba8c54ebdbd"),
+    "herzog --gens 1": (1, "64bcf7e29ac2e329"),
+    "herzog --gens 1 --json": (1, "64bcf7e29ac2e329"),
+    "ideal --gens 1 --ideal 0 --op bidual": (0, "695b5ea7e549e451"),
+    "ideal --gens 1 --ideal 0 --op bidual --json": (0, "2f648950ff127531"),
+    "ideal --gens 1 --ideal 0 --op trace": (0, "9fa9162064672950"),
+    "ideal --gens 1 --ideal 0 --op trace --json": (0, "2f648950ff127531"),
+    "ideal --gens 1 --ideal 0 --op dual": (0, "dd4264a58ddc77d8"),
+    "ideal --gens 1 --ideal 0 --op dual --json": (0, "2f648950ff127531"),
+    "ideal --gens 1 --ideal 0 --op closed": (0, "0320b3ecaaf640e0"),
+    "ideal --gens 1 --ideal 0 --op closed --json": (0, "87c90eb5c8b2256f"),
+    "ideal --gens 1 --ideal 0 --op reflexive": (0, "405f6860290063c3"),
+    "ideal --gens 1 --ideal 0 --op reflexive --json": (0, "f61ead203e1cd7c4"),
+    "ideal --gens 1 --ideal 0 --op profile": (0, "a2490094fd2070da"),
+    "ideal --gens 1 --ideal 0 --op profile --json": (0, "19be22994ad023a1"),
+    "info --gens 2,3": (0, "54839e2e037d712a"),
+    "info --gens 2,3 --json": (0, "91a02e749b10b3c9"),
+    "degrees --gens 2,3": (0, "2c3c9bd1273271e7"),
+    "degrees --gens 2,3 --json": (0, "9b03bb573a52a82d"),
+    "herzog --gens 2,3": (1, "7893984a659b1b9f"),
+    "herzog --gens 2,3 --json": (1, "7893984a659b1b9f"),
+    "ideal --gens 2,3 --ideal 0,1 --op bidual": (0, "695b5ea7e549e451"),
+    "ideal --gens 2,3 --ideal 0,1 --op bidual --json": (0, "5689b7f3ee86db71"),
+    "ideal --gens 2,3 --ideal 0,1 --op trace": (0, "c566badc0c008d65"),
+    "ideal --gens 2,3 --ideal 0,1 --op trace --json": (0, "d8922eb8d94847ab"),
+    "ideal --gens 2,3 --ideal 0,1 --op dual": (0, "05ace4de9ce14edf"),
+    "ideal --gens 2,3 --ideal 0,1 --op dual --json": (0, "d8922eb8d94847ab"),
+    "ideal --gens 2,3 --ideal 0,1 --op closed": (0, "7e10ee36589c373d"),
+    "ideal --gens 2,3 --ideal 0,1 --op closed --json": (0, "7c47ef746f517045"),
+    "ideal --gens 2,3 --ideal 0,1 --op reflexive": (0, "405f6860290063c3"),
+    "ideal --gens 2,3 --ideal 0,1 --op reflexive --json": (0, "f61ead203e1cd7c4"),
+    "ideal --gens 2,3 --ideal 0,1 --op profile": (0, "c45f7297b005f8be"),
+    "ideal --gens 2,3 --ideal 0,1 --op profile --json": (0, "50f88ac948fdd5c2"),
+    "info --gens 3,4,5": (0, "d7eac222a45b6784"),
+    "info --gens 3,4,5 --json": (0, "e25400b43309f337"),
+    "degrees --gens 3,4,5": (0, "d3323ce4b034844d"),
+    "degrees --gens 3,4,5 --json": (0, "9ee77c6a9581a02e"),
+    "herzog --gens 3,4,5": (0, "d5a9cf828ff04921"),
+    "herzog --gens 3,4,5 --json": (0, "80fe4cc8fa9a497e"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op bidual": (0, "695b5ea7e549e451"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op bidual --json": (0, "d42551027f4aca1c"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op trace": (0, "00197f0f5dc8ac3e"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op trace --json": (0, "a965d994d4bbbb50"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op dual": (0, "9208ed5dbe9eb340"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op dual --json": (0, "a965d994d4bbbb50"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op closed": (0, "0320b3ecaaf640e0"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op closed --json": (0, "87c90eb5c8b2256f"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op reflexive": (0, "a21790a59af99336"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op reflexive --json": (0, "3026d47cdf3f403f"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op profile": (0, "6fec286477b576ff"),
+    "ideal --gens 3,4,5 --ideal 0,1 --op profile --json": (0, "98b0499f5ba3a9e8"),
+    "info --gens 5,7,9": (0, "5134d6a788b89cad"),
+    "info --gens 5,7,9 --json": (0, "0e109136783ea707"),
+    "degrees --gens 5,7,9": (0, "e227e86599494674"),
+    "degrees --gens 5,7,9 --json": (0, "e33a81d92a88239d"),
+    "herzog --gens 5,7,9": (0, "08a98b8bc4042310"),
+    "herzog --gens 5,7,9 --json": (0, "40b49c518bd71326"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op bidual": (0, "b1c48da9a0c0e6f2"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op bidual --json": (0, "067d207ebbdf172f"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op trace": (0, "789f1c309948c4f9"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op trace --json": (0, "ffe52d3ad3cc70a4"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op dual": (0, "a4efd2416be54133"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op dual --json": (0, "5ceb38916912ed09"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op closed": (0, "0320b3ecaaf640e0"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op closed --json": (0, "87c90eb5c8b2256f"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op reflexive": (0, "a21790a59af99336"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op reflexive --json": (0, "3026d47cdf3f403f"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op profile": (0, "20028aeec20f008e"),
+    "ideal --gens 5,7,9 --ideal 0,2 --op profile --json": (0, "ef7e11dd3434b571"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op bidual": (0, "90bfa567835ed434"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op bidual --json": (0, "94b4c09e266b33b1"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op trace": (0, "789f1c309948c4f9"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op trace --json": (0, "ffe52d3ad3cc70a4"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op dual": (0, "d2fbb68869e3e12e"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op dual --json": (0, "65d5164595d52329"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op closed": (0, "0320b3ecaaf640e0"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op closed --json": (0, "87c90eb5c8b2256f"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op reflexive": (0, "a21790a59af99336"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op reflexive --json": (0, "3026d47cdf3f403f"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op profile": (0, "20028aeec20f008e"),
+    "ideal --gens 5,7,9 --ideal 3,5 --op profile --json": (0, "ef7e11dd3434b571"),
+    "info --gens 7,9,10": (0, "1f033d5edd73d4af"),
+    "info --gens 7,9,10 --json": (0, "8adf9862c042240f"),
+    "degrees --gens 7,9,10": (0, "c87ddec6b6c7354c"),
+    "degrees --gens 7,9,10 --json": (0, "94e76db54c0756d1"),
+    "herzog --gens 7,9,10": (1, "7930c6abf04d9c90"),
+    "herzog --gens 7,9,10 --json": (1, "7930c6abf04d9c90"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op bidual": (0, "bcfed690fd804e8f"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op bidual --json": (0, "15ec586454cc0396"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op trace": (0, "c87c6aaa0efd413e"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op trace --json": (0, "055a3fae02ea1967"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op dual": (0, "00acf713168fcda2"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op dual --json": (0, "d79721657940e366"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op closed": (0, "7e10ee36589c373d"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op closed --json": (0, "7c47ef746f517045"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op reflexive": (0, "a21790a59af99336"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op reflexive --json": (0, "3026d47cdf3f403f"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op profile": (0, "0694ffae3772fef4"),
+    "ideal --gens 7,9,10 --ideal 0,1 --op profile --json": (0, "e20afe10fad3d87b"),
+    "info --gens 101,203,307": (0, "20acd9e86ee29731"),
+    "info --gens 101,203,307 --json": (0, "aa34e40624fc0686"),
+    "degrees --gens 101,203,307": (0, "ba740d5e5807ac62"),
+    "degrees --gens 101,203,307 --json": (0, "20dbc64eae68aee9"),
+    "herzog --gens 101,203,307": (0, "693f56fe26d0c4d3"),
+    "herzog --gens 101,203,307 --json": (0, "8caecac125e33107"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op bidual": (0, "194738c214aea095"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op bidual --json": (0, "ecd35ce010d61cea"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op trace": (0, "2845afe581c1f21c"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op trace --json": (0, "f5762919fa4e4bfd"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op dual": (0, "088c086013d5432b"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op dual --json": (0, "ee7d5593c60cc3d1"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op closed": (0, "7e10ee36589c373d"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op closed --json": (0, "7c47ef746f517045"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op reflexive": (0, "a21790a59af99336"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op reflexive --json": (0, "3026d47cdf3f403f"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op profile": (0, "a7ed678e223f5a54"),
+    "ideal --gens 101,203,307 --ideal 0,4,9 --op profile --json": (0, "3145df0b0dfc30db"),
+    "info --gens 1001,1003,1009": (0, "9de02a1d8e29ec41"),
+    "info --gens 1001,1003,1009 --json": (0, "e84fed8112e451db"),
+    "degrees --gens 1001,1003,1009": (0, "9409084e5c53ac49"),
+    "degrees --gens 1001,1003,1009 --json": (0, "cd7796914e18fe64"),
+    "herzog --gens 1001,1003,1009": (0, "29e3a1d58053b839"),
+    "herzog --gens 1001,1003,1009 --json": (0, "ecff4ee7051cf532"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op bidual": (0, "c5d715a4ea1c05b1"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op bidual --json": (0, "8b91f742d2d760ce"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op trace": (0, "5c4b2bc197f11ed2"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op trace --json": (0, "a96e895bb647923e"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op dual": (0, "5ab54ace066de57c"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op dual --json": (0, "206d06d362f1e900"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op closed": (0, "7e10ee36589c373d"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op closed --json": (0, "7c47ef746f517045"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op reflexive": (0, "a21790a59af99336"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op reflexive --json": (0, "3026d47cdf3f403f"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op profile": (0, "75c72108ea73371a"),
+    "ideal --gens 1001,1003,1009 --ideal 0,2 --op profile --json": (0, "fa91935139e7d3c2"),
+    "lab --gens 1 --enumerate-ideals": (1, "f96505de05b54e19"),
+    "lab --gens 2,3 --enumerate-ideals": (0, "2f6b66881382f903"),
+    "lab --gens 3,4,5 --enumerate-ideals": (0, "3822aa79a85609c9"),
+    "lab --gens 5,7,9 --enumerate-ideals": (0, "206582d7dc4f0113"),
+    "lab --gens 7,9,10 --enumerate-ideals": (0, "78c4f7127d21f793"),
+    "info --gens 4,6": (1, "4ef868c2a4706ac4"),
+    "degrees --gens 4,6 --json": (1, "4ef868c2a4706ac4"),
+    "info --gens 0,3": (1, "4c155b65340e114b"),
+    "degrees --gens 0,3 --json": (1, "4c155b65340e114b"),
+    "info --gens x": (1, "97ea67b1ea94ccd4"),
+    "degrees --gens x --json": (1, "97ea67b1ea94ccd4"),
+    "info --gens ": (1, "c2f32b863ad4194d"),
+    "degrees --gens  --json": (1, "c2f32b863ad4194d"),
+    "ideal --gens 5,7,9 --ideal  --op dual": (1, "6e1c0f5138661d89"),
+    "lab --gens 21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41 --enumerate-ideals": (1, "f2fe4e69dc82f063"),
+    "sweep --max-genus 40 --out r.csv": (1, "c66388481b9183ca"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(CLI_GOLDEN))
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *line.split(" "))
+    digest = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]
+    assert (code, digest) == CLI_GOLDEN[line], (out, err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_clean(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from nsdeg import (
     AmbiguousDecomposition,
+    InternalInvariantViolation,
     NotThreeGenerated,
     NoValidOrientation,
     NumericalSemigroup,
@@ -71,6 +72,22 @@ def test_no_valid_orientation_is_reported_not_repaired():
     assert ddeg(S) == 1
     with pytest.raises(NoValidOrientation):
         herzog_matrix(S)
+
+
+@pytest.mark.parametrize("patched", [
+    {9: (3, {5: 3, 7: 0})},  # a zero coefficient: 7 would get the pair (1, 0)
+    {5: (4, {7: 1, 9: 2})},  # 5's pair (1, 4) no longer sums to its multiple
+])
+def test_exponents_that_break_herzogs_theorem_are_a_bug(monkeypatch, patched):
+    # <5, 7, 9> has the relations 5*5 = 7 + 2*9, 2*7 = 5 + 9, 3*9 = 4*5 + 7;
+    # positivity and the sums hold in every assignment or in none, so a
+    # failure is an internal error, not a ring without an orientation
+    import nsdeg.herzog as herzog_mod
+
+    real = herzog_mod._minimal_relation
+    monkeypatch.setattr(herzog_mod, "_minimal_relation", lambda g, u, v: patched.get(g) or real(g, u, v))
+    with pytest.raises(InternalInvariantViolation, match="not a positive split"):
+        herzog_matrix(NumericalSemigroup([5, 7, 9]))
 
 
 def test_identities_and_minimality_independent_recheck():

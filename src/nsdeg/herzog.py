@@ -61,8 +61,13 @@ class HerzogData:
         return self.a1 * self.b2 * self.c1
 
     @property
+    def cdeg_products(self) -> dict[str, int]:
+        """The two products cdeg is one of, by name."""
+        return {"a1b1c1": self.a1 * self.b1 * self.c1, "a2b2c2": self.a2 * self.b2 * self.c2}
+
+    @property
     def cdeg_candidates(self) -> tuple[int, ...]:
-        return tuple(sorted({self.a1 * self.b1 * self.c1, self.a2 * self.b2 * self.c2}))
+        return tuple(sorted(set(self.cdeg_products.values())))
 
     def to_dict(self) -> dict:
         return {
@@ -191,6 +196,13 @@ class HerzogConsistency:
     ddeg_match: bool
     cdeg_in_candidates: bool
     data: HerzogData
+
+    @property
+    def cdeg_realized(self) -> str:
+        """Which product the direct cdeg equals: ``a1b1c1``, ``a2b2c2``,
+        ``both`` or ``neither``.  Recorded by sweeps, never interpreted."""
+        hits = [name for name, p in self.data.cdeg_products.items() if p == self.direct_cdeg]
+        return "both" if len(hits) == 2 else hits[0] if hits else "neither"
 
     def to_dict(self) -> dict:
         return {

@@ -22,7 +22,15 @@ shape that writes what ``json.dumps(row, indent=2)`` writes at a
 fraction of its cost; the summary stays on json.dumps.  The
 report is written to a temporary file in the output's directory and
 renamed onto it only once the sweep has succeeded, so a failing sweep
-leaves no partial report behind.
+leaves no partial report behind.  A symlinked output is followed, so the
+file it names receives the report; an output that exists but is not a
+regular file (a pipe, a device, a directory) is refused.
+
+Each name in the report's schema has one source.  The CSV columns are
+``CSV_COLUMNS``.  The property names are the keys :func:`evaluate_ring`
+sets, in its order; the summary's tallies take them from the first row.
+Herzog's realized-candidate label is
+:attr:`~nsdeg.herzog.HerzogConsistency.cdeg_realized`.
 
 Reports are deterministic byte for byte for a fixed configuration; the
 parallelism level changes only its own echo in the JSON config block.
@@ -30,11 +38,11 @@ parallelism level changes only its own echo in the JSON config block.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import shutil
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
@@ -87,17 +95,9 @@ IDEAL_CHECK_GENUS = 10
 #: Most rings a worker evaluates per task.
 MAX_CHUNK = 256
 
-#: Properties re-checked for every ring; all are theorems.
-PROPERTY_NAMES = (
-    "lower_bound",
-    "vanishing",
-    "ag_implies_ddeg_one",
-    "trace_identity",
-    "tcdeg",
-    "closed_reflexive_principal",
-    "herzog",
-)
-
+#: The CSV report's columns.  Each is the row's key of that name, except
+#: ``e0`` (the multiplicity), ``tcdeg_ok`` and ``herzog_ok`` (those
+#: properties' verdicts); see :func:`_csv_row`.
 CSV_COLUMNS = (
     "genus",
     "generators",
@@ -200,52 +200,42 @@ def _sweep_node(gens: tuple[int, ...], check_herzog: bool, expand: bool) -> tupl
 
 
 def evaluate_ring(S: NumericalSemigroup, check_herzog: bool = False) -> dict:
-    """Degree report plus property verdicts for one ring, as a plain dict."""
+    """Degree report plus property verdicts for one ring, as a plain dict.
+
+    The properties are theorems re-checked for every ring, None where a
+    check does not apply; their keys here are the only list of them.
+    """
     report = classify(S)
     symmetric = S.conductor == 0 or S.is_symmetric()
-
-    props: dict[str, bool | None] = {}
-    props["lower_bound"] = report.cdeg >= report.type_r - 1
-    vanish_c = report.cdeg == 0
-    vanish_d = report.ddeg == 0
-    props["vanishing"] = vanish_c == vanish_d and vanish_d == symmetric
-    props["ag_implies_ddeg_one"] = (
-        not report.almost_gorenstein or report.type_r == 1 or report.ddeg == 1
-    )
-    props["trace_identity"] = report.ddeg == report.tdeg
-    props["tcdeg"] = None if report.tcdeg is None else report.tcdeg.equal
-
-    if S.conductor == 0 or S.genus > IDEAL_CHECK_GENUS:
-        props["closed_reflexive_principal"] = None
-    else:
-        props["closed_reflexive_principal"] = not any(
-            not is_principal(E) and is_closed(E) and is_reflexive(E) for E in enumerate_ideals(S)
-        )
-
-    herzog_note = None
-    herzog_realized = None
+    ideals_checked = S.conductor != 0 and S.genus <= IDEAL_CHECK_GENUS
+    row = {
+        **report.to_dict(),
+        "properties": {
+            "lower_bound": report.cdeg >= report.type_r - 1,
+            "vanishing": (report.cdeg == 0) == (report.ddeg == 0) == symmetric,
+            "ag_implies_ddeg_one": (
+                not report.almost_gorenstein or report.type_r == 1 or report.ddeg == 1
+            ),
+            "trace_identity": report.ddeg == report.tdeg,
+            "tcdeg": None if report.tcdeg is None else report.tcdeg.equal,
+            "closed_reflexive_principal": not any(
+                not is_principal(E) and is_closed(E) and is_reflexive(E) for E in enumerate_ideals(S)
+            ) if ideals_checked else None,
+            "herzog": None,
+        },
+        "conjecture_ok": report.cdeg >= report.ddeg,
+    }
+    # The Herzog keys come after conjecture_ok: counterexample rows are
+    # dumped in key order.
     if check_herzog and S.embedding_dim == 3 and not symmetric:
         try:
             hc = herzog_consistency(S, report)
-            props["herzog"] = hc.ddeg_match and hc.cdeg_in_candidates
-            first = hc.data.a1 * hc.data.b1 * hc.data.c1
-            second = hc.data.a2 * hc.data.b2 * hc.data.c2
-            hits = {name for name, v in (("a1b1c1", first), ("a2b2c2", second)) if v == hc.direct_cdeg}
-            herzog_realized = "both" if len(hits) == 2 else (hits.pop() if hits else "neither")
         except NoValidOrientation:
             # data, not a theorem failure; surfaced in the report
-            props["herzog"] = None
-            herzog_note = "no_valid_orientation"
-    else:
-        props["herzog"] = None
-
-    row = report.to_dict()
-    row["properties"] = props
-    row["conjecture_ok"] = report.cdeg >= report.ddeg
-    if herzog_note:
-        row["herzog_note"] = herzog_note
-    if herzog_realized:
-        row["herzog_cdeg_realized"] = herzog_realized
+            row["herzog_note"] = "no_valid_orientation"
+        else:
+            row["properties"]["herzog"] = hc.ddeg_match and hc.cdeg_in_candidates
+            row["herzog_cdeg_realized"] = hc.cdeg_realized
     return row
 
 
@@ -254,16 +244,17 @@ class SweepReport:
     """A sweep's summary: counts, tallies and findings, without the rows."""
 
     config: SweepConfig
+    # a dict, not a Counter: add runs once per ring in the sweep's parent
+    # process, and a Counter's item update costs more than a dict's
     genus_counts: dict[int, int] = field(default_factory=dict)
-    properties: dict[str, dict] = field(
-        default_factory=lambda: {name: {"checked": 0, "failures": []} for name in PROPERTY_NAMES}
-    )
+    #: One tally per property, made from the first row's keys.
+    properties: dict[str, dict] = field(default_factory=dict)
     ddeg_one_census: dict[str, int] = field(
         default_factory=lambda: {"almost_gorenstein": 0, "other": 0}
     )
     conjecture: dict | None = None
     herzog_no_orientation: list[list[int]] = field(default_factory=list)
-    herzog_candidate_census: dict[str, int] = field(default_factory=dict)
+    herzog_candidate_census: Counter = field(default_factory=Counter)
 
     def has_property_failures(self) -> bool:
         return any(t["failures"] for t in self.properties.values())
@@ -274,19 +265,20 @@ class SweepReport:
     def add(self, row: dict) -> None:
         """Count one ring's row into the tallies."""
         self.genus_counts[row["genus"]] = self.genus_counts.get(row["genus"], 0) + 1
-        for name in PROPERTY_NAMES:
-            verdict = row["properties"][name]
-            if verdict is None:
-                continue
-            self.properties[name]["checked"] += 1
-            if not verdict:
-                self.properties[name]["failures"].append(list(row["generators"]))
+        verdicts = row["properties"]
+        tallies = self.properties
+        if not tallies:
+            tallies = self.properties = {name: {"checked": 0, "failures": []} for name in verdicts}
+        for name, verdict in verdicts.items():
+            if verdict is not None:
+                tally = tallies[name]
+                tally["checked"] += 1
+                if not verdict:
+                    tally["failures"].append(list(row["generators"]))
         if row.get("herzog_note") == "no_valid_orientation":
             self.herzog_no_orientation.append(list(row["generators"]))
-        realized = row.get("herzog_cdeg_realized")
-        if realized:
-            census = self.herzog_candidate_census
-            census[realized] = census.get(realized, 0) + 1
+        if "herzog_cdeg_realized" in row:
+            self.herzog_candidate_census[row["herzog_cdeg_realized"]] += 1
         if row["ddeg"] == 1:
             key = "almost_gorenstein" if row["almost_gorenstein"] else "other"
             self.ddeg_one_census[key] += 1
@@ -314,33 +306,6 @@ class SweepReport:
         return json.dumps(payload, indent=2)[: -len("]\n}")]
 
 
-def _csv_value(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _csv_fields(row: dict) -> list:
-    return [
-        row["genus"],
-        ";".join(str(g) for g in row["generators"]),
-        row["frobenius"],
-        row["type"],
-        row["multiplicity"],
-        row["cdeg"],
-        row["ddeg"],
-        row["tdeg"],
-        row["canonical_index"],
-        _csv_value(row["gorenstein"]),
-        _csv_value(row["almost_gorenstein"]),
-        _csv_value(row["conjecture_ok"]),
-        _csv_value(row["properties"]["tcdeg"]),
-        _csv_value(row["properties"]["herzog"]),
-    ]
-
-
 def _json_leaf(value) -> str:
     """A row's int, bool or None as json.dumps writes it."""
     if value is None:
@@ -350,6 +315,18 @@ def _json_leaf(value) -> str:
     if value is False:
         return "false"
     return str(value)
+
+
+def _csv_row(row: dict) -> str:
+    """A row of :func:`evaluate_ring` as one CSV line, without its newline.
+
+    No cell can hold a comma, a quote or a newline (the generators are
+    joined by semicolons), so the cells need no quoting; None is ``NA``.
+    """
+    verdicts = row["properties"]
+    cells = row | {"generators": ";".join(map(str, row["generators"])), "e0": row["multiplicity"],
+                   "tcdeg_ok": verdicts["tcdeg"], "herzog_ok": verdicts["herzog"]}
+    return ",".join(["NA" if cells[c] is None else _json_leaf(cells[c]) for c in CSV_COLUMNS])
 
 
 def _json_row(row: dict) -> str:
@@ -408,19 +385,27 @@ def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
     """Evaluate every ring up to the genus bound, write the report to out.
 
     Returns the summary.  out is replaced only when the whole sweep
-    succeeded; on any error it is left as it was.
+    succeeded; on any error it is left as it was.  A symlink is followed:
+    the file it names is replaced.  An existing out that is not a regular
+    file is refused with an OSError naming out.
     """
     cfg.validate()
     out = os.fspath(out)
+    # exists and isfile follow links through the kernel, which also
+    # resolves /dev/stdout to the pipe or terminal it stands for
+    if os.path.exists(out) and not os.path.isfile(out):
+        raise OSError(f"not a regular file: {out!r}")
+    target = os.path.realpath(out)
     report = SweepReport(
         cfg,
         conjecture={"statement": "cdeg >= ddeg", "counterexamples": []}
         if cfg.check_conjecture
         else None,
     )
-    # Beside out, so that the final rename stays on one file system.
-    tmp = f"{out}.{os.getpid()}.tmp"
-    spool = f"{out}.{os.getpid()}.rows.tmp"
+    # Beside the file out names, so that the final rename stays on one
+    # file system.
+    tmp = f"{target}.{os.getpid()}.tmp"
+    spool = f"{target}.{os.getpid()}.rows.tmp"
     node = partial(_sweep_node, check_herzog=cfg.check_herzog)
     # More workers than CPUs only add processes; the report still echoes
     # the requested parallelism.
@@ -448,10 +433,9 @@ def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
             rows = _walk_levels(cfg.max_genus, node, mapper)
             if cfg.output_format == "csv":
                 fh.write(report.render())
-                writer = csv.writer(fh, lineterminator="\n")
                 for row in rows:
                     report.add(row)
-                    writer.writerow(_csv_fields(row))
+                    fh.write(_csv_row(row) + "\n")
             else:
                 with open(spool, "w+", encoding="utf-8") as sp:
                     for i, row in enumerate(rows):
@@ -461,7 +445,7 @@ def run_sweep(cfg: SweepConfig, out: str | os.PathLike) -> SweepReport:
                     sp.seek(0)
                     shutil.copyfileobj(sp, fh, 1 << 20)
                 fh.write("\n  ]\n}\n")
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     finally:
         for path in (tmp, spool):
             if os.path.exists(path):

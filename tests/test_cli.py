@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
+import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsdeg import NumericalSemigroup, classify
 from nsdeg.cli import main
@@ -281,6 +285,45 @@ def test_missing_directory_error_names_the_out_path(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dangling", [False, True])
+def test_sweep_through_a_symlink_writes_the_file_it_names(tmp_path, capsys, fmt, dangling):
+    # the link and its target in different directories: the temporary
+    # files go beside the target, and the link stays a link
+    direct = tmp_path / f"direct.{fmt}"
+    assert run(capsys, "sweep", "--max-genus", "3", "--out", str(direct), "--format", fmt)[0] == 0
+    data = tmp_path / "data"
+    data.mkdir()
+    target = data / f"target.{fmt}"
+    if not dangling:
+        target.write_text("old\n")
+    links = tmp_path / "links"
+    links.mkdir()
+    link = links / f"link.{fmt}"
+    link.symlink_to(target)
+    code, out, err = run(capsys, "sweep", "--max-genus", "3", "--out", str(link), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"report written to {link}\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == direct.read_bytes()
+    assert [p.name for p in data.iterdir()] == [target.name]
+    assert [p.name for p in links.iterdir()] == [link.name]
+
+
+def test_sweep_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    for out_path in (fifo, link):
+        code, out, err = run(capsys, "sweep", "--max-genus", "3", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: OSError: not a regular file: '{out_path}'\n"
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link"]
+
+
 def test_usage_error_names_flag(capsys):
     code, _, err = run(capsys, "degrees", "--gens", "5,x,9")
     assert code == 1
@@ -479,6 +522,46 @@ def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys, line):
     digest = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]
     assert (code, digest) == CLI_GOLDEN[line], (out, err)
     assert list(tmp_path.iterdir()) == []
+
+
+_OPS = ["bidual", "trace", "dual", "closed", "reflexive", "profile"]
+_gens_arg = st.one_of(
+    st.lists(st.integers(min_value=-1, max_value=60), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", ",", "x", "5,,7", "5, 7"]),
+)
+_ideal_arg = st.lists(st.integers(min_value=-2**63, max_value=2**63), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(["info", "degrees", "herzog", "ideal", "lab"]))
+    # --opt=value, so that a value starting with "-" is never read as an option
+    argv = [command, f"--gens={draw(_gens_arg)}"]
+    if command == "ideal":
+        argv += [f"--ideal={draw(_ideal_arg)}", f"--op={draw(st.sampled_from(_OPS))}"]
+    if command == "lab":
+        argv.append("--enumerate-ideals")
+    elif draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(_command_lines())
+@settings(max_examples=300, deadline=None)
+def test_exit_codes_follow_the_contract(argv):
+    # 0 with an answer, or 1 with nothing on stdout and one error line;
+    # 2 would be an internal bug, and no input here should reach one
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "usage error: ")), (argv, lines)
+        assert err.getvalue().endswith("\n")
 
 
 def test_help_exits_clean(capsys):

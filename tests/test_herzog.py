@@ -1,3 +1,5 @@
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from math import gcd
 
@@ -141,6 +143,33 @@ def test_consistency_from_a_degree_report_matches_the_direct_counts():
     assert (checked, unoriented) == (71, 1)  # the one without: <7, 9, 10>
     with pytest.raises(ValueError, match="degree report"):
         herzog_consistency(NumericalSemigroup([5, 7, 9]), classify(NumericalSemigroup([7, 9, 11])))
+
+
+def test_realized_label_matches_a_recount_from_the_exponents():
+    # the label a sweep records is which product the direct cdeg equals,
+    # recounted here from the exponents alone
+    labels = Counter()
+    for S in enumerate_semigroups(12):
+        if S.embedding_dim != 3 or S.genus == 0 or S.is_symmetric():
+            continue
+        try:
+            hc = herzog_consistency(S, classify(S))
+        except NoValidOrientation:
+            continue
+        a1, a2, b1, b2, c1, c2 = hc.data.exponents
+        first, second = a1 * b1 * c1 == hc.direct_cdeg, a2 * b2 * c2 == hc.direct_cdeg
+        expected = {(True, True): "both", (True, False): "a1b1c1",
+                    (False, True): "a2b2c2", (False, False): "neither"}[first, second]
+        assert hc.cdeg_realized == expected, S
+        assert hc.cdeg_in_candidates == (hc.cdeg_realized != "neither"), S
+        labels[hc.cdeg_realized] += 1
+    assert labels == {"a1b1c1": 64, "a2b2c2": 7}
+    # the other two labels, on values no ring above reaches: for <5, 7, 9>
+    # the products are 2 and 4, and with b1 = 4 both are 4
+    hc = herzog_consistency(NumericalSemigroup([5, 7, 9]))
+    assert hc.data.cdeg_products == {"a1b1c1": 2, "a2b2c2": 4}
+    assert replace(hc, direct_cdeg=3).cdeg_realized == "neither"
+    assert replace(hc, data=replace(hc.data, b1=4), direct_cdeg=4).cdeg_realized == "both"
 
 
 def test_structural_candidate_inequality():

@@ -1,6 +1,8 @@
+import csv
+import io
 import json
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 
 import pytest
@@ -243,10 +245,15 @@ def _dumped(row):
     return json.dumps(row, indent=2).replace("\n", "\n    ")
 
 
+@cache
+def walk12(check_herzog):
+    """The rows of a genus <= 12 sweep; shared by the row-writer tests."""
+    return tuple(sweep._walk_levels(12, partial(sweep._sweep_node, check_herzog=check_herzog)))
+
+
 @pytest.mark.parametrize("check_herzog", [False, True])
 def test_json_row_writer_matches_json_dumps(check_herzog):
-    node = partial(sweep._sweep_node, check_herzog=check_herzog)
-    rows = list(sweep._walk_levels(12, node))
+    rows = walk12(check_herzog)
     for row in rows:
         assert sweep._json_row(row) == _dumped(row), row["generators"]
     # the walk holds each null and each optional key the writer handles
@@ -255,6 +262,43 @@ def test_json_row_writer_matches_json_dumps(check_herzog):
     assert sum(row["idealization"]["ddeg"] is None for row in rows) == 121
     assert sum("herzog_note" in row for row in rows) == check_herzog
     assert sum("herzog_cdeg_realized" in row for row in rows) == 71 * check_herzog
+
+
+def _csv_module_line(row):
+    """A CSV line as the csv module writes the columns' values, taken
+    from the row one by one: the reference for sweep._csv_row."""
+    def flag(value):
+        return "NA" if value is None else ("true" if value else "false")
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([
+        row["genus"],
+        ";".join(str(g) for g in row["generators"]),
+        row["frobenius"],
+        row["type"],
+        row["multiplicity"],
+        row["cdeg"],
+        row["ddeg"],
+        row["tdeg"],
+        row["canonical_index"],
+        flag(row["gorenstein"]),
+        flag(row["almost_gorenstein"]),
+        flag(row["conjecture_ok"]),
+        flag(row["properties"]["tcdeg"]),
+        flag(row["properties"]["herzog"]),
+    ])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("check_herzog", [False, True])
+def test_csv_row_writer_matches_the_csv_module(check_herzog):
+    cells = set()
+    for row in walk12(check_herzog):
+        line = sweep._csv_row(row) + "\n"
+        assert line == _csv_module_line(row), row["generators"]
+        cells.update(line.rstrip("\n").split(","))
+    # the walk holds every spelling of a flag: true, false and NA
+    assert {"true", "false", "NA"} <= cells
 
 
 def test_json_row_writer_on_every_herzog_key():

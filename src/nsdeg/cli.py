@@ -15,8 +15,9 @@ one line either way.  ``--gens`` and ``--json`` are declared once and
 shared.  ``lab`` prints CSV and ``sweep`` a summary of the report file
 it writes.
 
-Exit codes: 0 clean, 1 usage, input or file error, 2 internal invariant
-violation, 3 theorem-assertion failure in a sweep.
+Exit codes: 0 clean, 1 usage, input or file error (a stdout pipe closed
+by its reader included), 2 internal invariant violation, 3
+theorem-assertion failure in a sweep.
 """
 
 from __future__ import annotations
@@ -263,8 +264,18 @@ def lab(gens, do_enumerate):
 
 
 def main(argv=None) -> int:
+    streams = sys.stdout, sys.stderr
     try:
         rv = cli.main(args=argv, prog_name="nsdeg", standalone_mode=False)
+    except SystemExit as exc:
+        # click meets a closed stdout pipe by wrapping both streams and
+        # exiting 1, even outside standalone mode; the pipe error is the
+        # exit's context.  Report it as any OSError, on the streams as found.
+        if not isinstance(exc.__context__, BrokenPipeError):
+            raise
+        sys.stdout, sys.stderr = streams
+        click.echo(f"error: {type(exc.__context__).__name__}: {exc.__context__}", err=True)
+        return 1
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.UsageError as exc:

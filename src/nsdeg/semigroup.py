@@ -236,9 +236,9 @@ class NumericalSemigroup(_ValueSet):
         x in [0, c) with frobenius - x a gap, the gap mask read backwards.
 
         The reversal is made once, on first use, and kept in ``_k_key``,
-        so K, the canonicality test of every ideal and the Herzog path's
-        cdeg and ddeg share it; a ring that never asks for K never
-        reverses.
+        so K, the symmetry test, the canonicality test of every ideal and
+        the Herzog path's cdeg and ddeg share it; a ring that never asks
+        for K or its symmetry never reverses.
         """
         if self._k_key is None:
             c = self.conductor
@@ -256,11 +256,14 @@ class NumericalSemigroup(_ValueSet):
         """True iff x in S  <=>  frobenius - x not in S for all integers x.
 
         Symmetry is the Gorenstein criterion for semigroup rings.  Checked
-        by literal bit reversal of the window, independently of the type.
+        as S = K by literal bit reversal: K's cached key holds the gap mask
+        read backwards, and reversal on c bits is an involution, so this
+        equals reading the window backwards against the gap mask.  The
+        type is not read, so the check stays independent of it.
         """
         if self.conductor == 0:
             raise FullSemigroup("symmetry is undefined for the full semigroup")
-        return reverse_bits(self._window, self.conductor) == self._missing()
+        return self.canonical_key()[1] == self._window
 
     # -- plumbing -------------------------------------------------------
 

@@ -8,6 +8,7 @@ stated wall-clock budgets.
 import json
 import math
 import time
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,7 @@ from nsdeg.errors import NoValidOrientation
 from nsdeg.lab import enumerate_ideals, is_closed, is_reflexive
 from nsdeg.sweep import SweepConfig, run_sweep
 
-from oracles import count_semigroups_of_genus
+from oracles import count_semigroups_of_genus, minimal_relation
 
 GENUS_COUNTS_12 = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
 
@@ -163,6 +164,31 @@ def test_criterion_6a_herzog_closed_form_on_its_domain(herzog_family):
     assert ok
 
 
+def _broken_inequalities(gens):
+    """One line per assignment (a, b, c) of ``gens``: the normalization
+    inequalities its exponents break.
+
+    The exponents are read slot by slot from the matrix relations
+    (a1 + a2) a = b2 b + c1 c, (b1 + b2) b = a1 a + c2 c and
+    (c1 + c2) c = a2 a + b1 b, with each relation found by trial division
+    in ``tests/oracles.py``, not by ``nsdeg.herzog``.
+    """
+    relation = {}
+    for g in gens:
+        u, v = (x for x in gens if x != g)
+        _, [(p, q)] = minimal_relation(g, u, v)
+        relation[g] = {u: p, v: q}
+    lines = []
+    for a, b, c in permutations(gens):
+        b2, c1 = relation[a][b], relation[a][c]
+        a1, c2 = relation[b][a], relation[b][c]
+        a2, b1 = relation[c][a], relation[c][b]
+        rules = {"a1 <= a2": (a1, a2), "b2 <= b1": (b2, b1), "c1 <= c2": (c1, c2)}
+        broken = [f"{rule} ({x} > {y})" for rule, (x, y) in rules.items() if x > y]
+        lines.append(f"  (a, b, c) = {(a, b, c)} breaks {', '.join(broken) or 'nothing'}")
+    return lines
+
+
 def test_criterion_6b_herzog_orientation_always_exists(herzog_family):
     matched, _, no_orientation, _ = herzog_family
     ok = _line(
@@ -177,10 +203,12 @@ def test_criterion_6b_herzog_orientation_always_exists(herzog_family):
         f"{len(no_orientation)} rings in the family, e.g. {no_orientation[:5]}. "
         "For (7, 9, 10) the ring is almost Gorenstein with ddeg = 1, the six "
         "assignments give consistent matrices with formula values "
-        "{2, 3, 4, 6}, and every assignment violates one inequality, so no "
+        "{2, 3, 4, 6}, and every assignment violates at least one inequality, so no "
         "implementation can equate the normalized product with ddeg on these "
         "rings.  The closed form is verified exactly on every ring where the "
-        "normalization holds (criterion 6a)."
+        "normalization holds (criterion 6a).  Per ring, each assignment and "
+        "the inequalities it breaks:\n"
+        + "\n".join(f"{gens}:\n" + "\n".join(_broken_inequalities(gens)) for gens in no_orientation[:5])
     )
 
 

@@ -1,10 +1,14 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -588,3 +592,45 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out
     assert "gaps: 1,2,3,4,6,8,11,13" in out
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--gens", "5,7,9"],
+    ["degrees", "--gens", "5,7,9", "--json"],
+    ["lab", "--gens", "3,4,5", "--enumerate-ideals"],
+])
+def test_a_closed_stdout_pipe_is_one_error_line(argv):
+    # click meets the pipe error by swapping both streams for wrappers and
+    # exiting; main returns 1 instead, on the streams it was called with
+    pipe, err = _ClosedPipe(), io.StringIO()
+    with contextlib.redirect_stdout(pipe), contextlib.redirect_stderr(err):
+        code = main(argv)
+        assert (sys.stdout, sys.stderr) == (pipe, err)
+    assert code == 1
+    assert err.getvalue() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_a_reader_closing_the_pipe_early_gets_one_error_line():
+    # about 3 MB of gaps behind a pipe that holds far less: nsdeg is still
+    # writing when the reader takes 10 bytes and closes its end
+    import nsdeg
+
+    src = str(Path(nsdeg.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nsdeg", "info", "--gens", "1000,1001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert head == b"generators"
+    # no "Exception ignored" line from the interpreter's last flush
+    assert err == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -10,6 +12,7 @@ from nsdeg import (
     InternalInvariantViolation,
     NotThreeGenerated,
     NoValidOrientation,
+    NsdegError,
     NumericalSemigroup,
     SymmetricSemigroup,
     cdeg,
@@ -25,6 +28,29 @@ from oracles import minimal_relation, representations
 
 #: Every (g, u, v) with u < v and g outside {u, v}, all in [2, 40).
 RELATION_FAMILY = [(g, u, v) for u, v in combinations(range(2, 40), 2) for g in range(2, 40) if g not in (u, v)]
+
+
+def test_herzog_outputs_are_pinned():
+    # every gcd-1 triple of [3, 40]: the payload that `nsdeg herzog --json`
+    # prints plus the realized label, or the error, one line each, hashed in
+    # order; any change to an assignment, an exponent, a verdict or a name
+    # changes the digest
+    digest, outcomes = hashlib.sha256(), Counter()
+    for gens in combinations(range(3, 41), 3):
+        if gcd(*gens) != 1:
+            continue
+        try:
+            hc = herzog_consistency(NumericalSemigroup(gens))
+        except NsdegError as e:
+            line = f"{type(e).__name__}: {e}"
+            outcomes[type(e).__name__] += 1
+        else:
+            line = json.dumps({**hc.data.to_dict(), "consistency": hc.to_dict(), "realized": hc.cdeg_realized})
+            outcomes["oriented"] += 1
+        digest.update(f"{line}\n".encode())
+    assert outcomes == {"oriented": 2891, "NoValidOrientation": 340,
+                        "SymmetricSemigroup": 1836, "NotThreeGenerated": 2070}
+    assert digest.hexdigest() == "52bc244df5be2a46664ba5a24da909a887d3a3fbe2ca2c330dd088eefba8b242"
 
 
 def test_five_seven_nine():

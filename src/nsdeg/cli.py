@@ -23,6 +23,7 @@ theorem-assertion failure in a sweep.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -274,6 +275,11 @@ def main(argv=None) -> int:
         if not isinstance(exc.__context__, BrokenPipeError):
             raise
         sys.stdout, sys.stderr = streams
+        if sys.stdout is sys.__stdout__:
+            # the process's stdout may still hold the bytes that failed; point
+            # fd 1 at the null device so the interpreter's last flush succeeds
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         click.echo(f"error: {type(exc.__context__).__name__}: {exc.__context__}", err=True)
         return 1
     except click.exceptions.Exit as exc:

@@ -71,9 +71,8 @@ class HerzogData:
 
     @property
     def cdeg_products(self) -> dict[str, int]:
-        """The two products cdeg is one of, by name."""
-        first, second = _PRODUCT_NAMES
-        return {first: self.a1 * self.b1 * self.c1, second: self.a2 * self.b2 * self.c2}
+        """The two products cdeg is one of, each named by its factors."""
+        return {"a1b1c1": self.a1 * self.b1 * self.c1, "a2b2c2": self.a2 * self.b2 * self.c2}
 
     @property
     def cdeg_candidates(self) -> tuple[int, ...]:
@@ -88,10 +87,8 @@ class HerzogData:
         }
 
 
-#: The exponents' field names, a1 to c2, and the two products' names, each
-#: spelled by its factors: every first exponent (a1b1c1), every second one.
+#: The exponents' field names, a1 to c2: every field after the assignment.
 _EXPONENT_NAMES = tuple(f.name for f in fields(HerzogData)[1:])
-_PRODUCT_NAMES = tuple("".join(_EXPONENT_NAMES[i::2]) for i in (0, 1))
 
 
 def _minimal_relation(g: int, u: int, v: int) -> tuple[int, dict[int, int]]:
@@ -174,10 +171,9 @@ def herzog_matrix(S: NumericalSemigroup) -> HerzogData:
 
     for cycle in sorted(permutations(gens), key=lambda p: (p[0], -p[1])):
         # along the cycle, x = cycle[i] is followed by cycle[i - 2] and preceded by cycle[i - 1]
-        exponents = [coef[h][x] for i, x in enumerate(cycle) for h in (cycle[i - 2], cycle[i - 1])]
-        a1, a2, b1, b2, c1, c2 = exponents
+        a1, a2, b1, b2, c1, c2 = [coef[h][x] for i, x in enumerate(cycle) for h in (cycle[i - 2], cycle[i - 1])]
         if a1 <= a2 and b2 <= b1 and c1 <= c2:
-            data = HerzogData(cycle, *exponents)
+            data = HerzogData(cycle, a1, a2, b1, b2, c1, c2)
             _verify_relations(data)
             return data
     raise NoValidOrientation(
@@ -215,8 +211,8 @@ class HerzogConsistency:
         return "both" if len(hits) == 2 else hits[0] if hits else "neither"
 
     def to_dict(self) -> dict:
-        """Every field but the last, ``data``, by name in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        """Every field but ``data``, by name in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "data"}
 
 
 def herzog_consistency(S: NumericalSemigroup, report: DegreeReport | None = None) -> HerzogConsistency:

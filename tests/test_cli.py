@@ -617,15 +617,38 @@ def test_a_closed_stdout_pipe_is_one_error_line(argv):
     assert err.getvalue() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
+def _nsdeg_process_env():
+    # nsdeg from this checkout, with stdout block-buffered as in a plain shell:
+    # PYTHONUNBUFFERED would hide the bytes a failed flush leaves behind
+    import nsdeg
+
+    env = dict(os.environ, PYTHONPATH=str(Path(nsdeg.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_a_pipe_closed_before_the_first_write_gets_one_error_line():
+    # a few bytes into a pipe with no reader: the failed flush leaves them in
+    # stdout's buffer, and the interpreter's last flush must not retry them
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsdeg", "info", "--gens", "5,7,9"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_nsdeg_process_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def test_a_reader_closing_the_pipe_early_gets_one_error_line():
     # about 3 MB of gaps behind a pipe that holds far less: nsdeg is still
     # writing when the reader takes 10 bytes and closes its end
-    import nsdeg
-
-    src = str(Path(nsdeg.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "nsdeg", "info", "--gens", "1000,1001"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_nsdeg_process_env(),
     )
     head = proc.stdout.read(10)
     proc.stdout.close()

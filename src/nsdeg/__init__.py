@@ -2,7 +2,6 @@
 
 from .errors import (
     AmbientMismatch,
-    AmbiguousDecomposition,
     CapExceeded,
     EmptyGenerators,
     FullSemigroup,

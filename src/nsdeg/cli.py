@@ -22,13 +22,14 @@ theorem-assertion failure in a sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
 
 import click
 
-from .degrees import classify
+from .degrees import TcdegCheck, classify
 from .errors import InternalInvariantViolation, NsdegError
 from .herzog import herzog_consistency
 from .ideals import generate
@@ -67,6 +68,8 @@ def _fmt(value) -> str:
         return "absent"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, dict):
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -119,7 +122,7 @@ def degrees(gens, as_json):
         return [
             *flat.items(),
             *((f"idealization_{key}", value) for key, value in idealization.items()),
-            *((f"tcdeg_{key}", tc.get(key)) for key in ("lhs", "rhs", "equal")),
+            *((f"tcdeg_{f.name}", tc.get(f.name)) for f in dataclasses.fields(TcdegCheck)),
         ]
 
     _emit(as_json, payload, fields)
@@ -174,18 +177,10 @@ def ideal(gens, ideal_gens, op, as_json):
 def herzog(gens, as_json):
     """Matrix exponents and closed-form degree checks (3-generated case)."""
     result = herzog_consistency(NumericalSemigroup(gens))
-    data = result.data
-    payload = {**data.to_dict(), "consistency": result.to_dict()}
-    _emit(as_json, payload, lambda: [
-        ("assignment", data.assignment),
-        ("exponents", data.exponents),
-        ("ddeg_formula", result.formula_ddeg),
-        ("cdeg_candidates", data.cdeg_candidates),
-        ("direct_ddeg", result.direct_ddeg),
-        ("direct_cdeg", result.direct_cdeg),
-        ("ddeg_match", result.ddeg_match),
-        ("cdeg_in_candidates", result.cdeg_in_candidates),
-    ])
+    data, checks = result.data.to_dict(), result.to_dict()
+    # the text shows the formula's ddeg once, as the data's ddeg_formula
+    _emit(as_json, {**data, "consistency": checks},
+          lambda: [*data.items(), *((k, v) for k, v in checks.items() if k != "formula_ddeg")])
 
 
 @cli.command()
@@ -193,7 +188,7 @@ def herzog(gens, as_json):
 @click.option("--check-conjecture", is_flag=True)
 @click.option("--check-herzog", is_flag=True)
 @click.option("--strict-conjecture", is_flag=True,
-              help="Exit nonzero when the conjecture has counterexamples.")
+              help="Check the conjecture (implies --check-conjecture); exit 3 on a counterexample.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--jobs", type=int, default=1, help="Parallel worker processes, at most one per CPU.")
@@ -201,7 +196,7 @@ def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path
     """Sweep all semigroups up to a genus bound and write a report file."""
     cfg = SweepConfig(
         max_genus=max_genus,
-        check_conjecture=check_conjecture,
+        check_conjecture=check_conjecture or strict_conjecture,
         check_herzog=check_herzog,
         output_format=fmt,
         parallelism=jobs,
@@ -222,7 +217,7 @@ def sweep(max_genus, check_conjecture, check_herzog, strict_conjecture, out_path
             click.echo(f"  no valid orientation: {_fmt(gens_list)}")
     if report.conjecture is not None:
         n = len(report.conjecture["counterexamples"])
-        click.echo(f"conjecture cdeg >= ddeg: {n} counterexample(s)")
+        click.echo(f"conjecture {report.conjecture['statement']}: {n} counterexample(s)")
         for row in report.conjecture["counterexamples"][:10]:
             click.echo(f"  counterexample: {_fmt(row['generators'])}")
     click.echo(f"report written to {out_path}")

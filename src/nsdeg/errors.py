@@ -49,10 +49,6 @@ class NoValidOrientation(NsdegError):
     """No generator-to-variable assignment satisfies the exponent inequalities."""
 
 
-class AmbiguousDecomposition(NsdegError):
-    """A minimal pure-power relation has two distinct representations."""
-
-
 class TooLarge(NsdegError):
     """An exhaustive enumeration was requested above its feasibility cap."""
 

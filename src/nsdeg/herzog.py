@@ -40,7 +40,6 @@ from math import gcd
 
 from .degrees import DegreeReport, cdeg, ddeg
 from .errors import (
-    AmbiguousDecomposition,
     InternalInvariantViolation,
     NotThreeGenerated,
     NoValidOrientation,
@@ -105,7 +104,9 @@ def _minimal_relation(g: int, u: int, v: int) -> tuple[int, dict[int, int]]:
 
     The search stops by n = min(u/gcd(u, g), v/gcd(v, g)): that multiple
     of g is lcm(u, g) or lcm(v, g), a multiple of u or of v, so it lies
-    in <u, v>.  Passing the bound is a bug, not an input error.
+    in <u, v>.  Passing the bound is a bug, not an input error, and so
+    is a second representation: by Herzog's theorem the minimal relation
+    of a non-symmetric, minimally 3-generated ring is unique.
     """
     d = gcd(u, v)
     step = v // d
@@ -120,7 +121,7 @@ def _minimal_relation(g: int, u: int, v: int) -> tuple[int, dict[int, int]]:
             continue
         count = rest // (u * step) + 1
         if count > 1:
-            raise AmbiguousDecomposition(
+            raise InternalInvariantViolation(
                 f"{n}*{g} = {total} decomposes over ({u}, {v}) in "
                 f"{count} ways; contradicts non-symmetry"
             )

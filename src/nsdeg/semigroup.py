@@ -57,24 +57,20 @@ DEFAULT_WINDOW_CAP = 10**6
 _INT64_MAX = 2**63 - 1
 
 
-def _closure_window(gens: list[int], bound: int, mask: int) -> int:
+def _closure_window(gens: list[int], bound: int) -> int:
     """Membership mask of the monoid generated by ``gens`` on [0, bound).
 
-    Shift-or closure from ``mask``, which must hold 0 and lie inside the
-    closure: the closure on a shorter window qualifies, so a caller that
-    widens the window restarts from the narrower result.
-
-    One pass over the generators is enough.  For a generator g the shifts
-    g, 2g, 4g, ... turn the mask X into X + {0, g, ..., (2^j - 1)g}; they
-    stop once the shift reaches the bound, or once that mask is closed
-    under 2^j g, which then makes it hold X + <g>.  So the pass ends with
-    X + <g1> + ... + <gk>: it holds 0 + <g1, ..., gk>, the whole closure,
-    and lies inside it, so it is closed under every gi.  The window only
-    cuts off its top, since no element below the bound comes from one
-    above it.  Per generator the shift doubles, so the cost is
-    logarithmic in ``bound`` rather than linear.
+    Shift-or closure from the mask of {0}, in one pass over the
+    generators.  For a generator g the shifts g, 2g, 4g, ... turn the
+    mask X into X + {0, g, ..., (2^j - 1)g}; they stop once the shift
+    reaches the bound, or once that mask is closed under 2^j g, which
+    then makes it hold X + <g>.  So the pass ends with
+    0 + <g1> + ... + <gk>, the whole closure, which is closed under
+    every gi.  The window only cuts off its top, since no element below
+    the bound comes from one above it.  Per generator the shift doubles,
+    so the cost is logarithmic in ``bound`` rather than linear.
     """
-    cap = ones(bound)
+    mask, cap = 1, ones(bound)
     for g in gens:
         step = g
         while step < bound:
@@ -181,14 +177,11 @@ class NumericalSemigroup(_ValueSet):
 
         # Grow the window until m members follow its last gap: they start
         # exactly at the conductor, since a run of m members holds every
-        # integer after it.  The closure on the narrower window lies inside
-        # the closure on the wider one, so each round resumes the closure
-        # from it.
+        # integer after it.
         limit = DEFAULT_WINDOW_CAP + m + 1
         bound = min(max(2 * m + 2, 64), limit)
-        mask = 1
         while True:
-            mask = _closure_window(gens, bound, mask)
+            mask = _closure_window(gens, bound)
             conductor = (~mask & ones(bound)).bit_length()
             if bound - conductor >= m or bound >= limit:
                 break
@@ -208,20 +201,12 @@ class NumericalSemigroup(_ValueSet):
 
         if conductor == 0:
             mingens: tuple[int, ...] = (1,)
+            self.type = 1  # DVR convention
+            self._pf = 0
         else:
             # A minimal generator is a positive element not of the form
             # s + t with s, t positive; all of them lie below conductor + m.
             mingens = tuple(indecomposables(self._ext(conductor + m) & ~1, gens))
-        self.generators = mingens
-        self.multiplicity = mingens[0]
-        self.embedding_dim = len(mingens)
-
-        # Reversing the gap mask here would add work to every construction.
-        self._k_key: tuple[int, int] | None = None
-        if conductor == 0:
-            self.type = 1  # DVR convention
-            self._pf = 0
-        else:
             # x is pseudo-Frobenius iff x is a gap and x + g in S for
             # every minimal generator g; the type counts them.
             ext = self._ext(conductor + mingens[-1])
@@ -230,6 +215,11 @@ class NumericalSemigroup(_ValueSet):
                 acc &= ext >> g0
             self._pf = acc & ~window
             self.type = self._pf.bit_count()
+        self.generators = mingens
+        self.multiplicity = mingens[0]
+        self.embedding_dim = len(mingens)
+        # Reversing the gap mask here would add work to every construction.
+        self._k_key: tuple[int, int] | None = None
 
     def canonical_key(self) -> tuple[int, int]:
         """The key of the canonical ideal K: conductor c and the window of

@@ -225,6 +225,25 @@ def test_sweep_exit_codes(tmp_path, capsys, monkeypatch):
         "--strict-conjecture", "--out", str(tmp_path / "c.csv"),
     )
     assert code == 3
+    # strict checks the conjecture it enforces, with or without the check flag
+    code, _, _ = run(
+        capsys, "sweep", "--max-genus", "2", "--strict-conjecture", "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_strict_conjecture_alone_writes_the_checked_report(tmp_path, capsys, fmt):
+    outputs = []
+    for flags in (["--strict-conjecture"], ["--check-conjecture", "--strict-conjecture"]):
+        path = tmp_path / f"{len(outputs)}.{fmt}"
+        code, out, _ = run(
+            capsys, "sweep", "--max-genus", "12", *flags, "--out", str(path), "--format", fmt,
+        )
+        outputs.append((code, out.replace(str(path), "REPORT"), path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert "conjecture cdeg >= ddeg: 0 counterexample(s)" in outputs[0][1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -8,7 +8,6 @@ from math import gcd
 import pytest
 
 from nsdeg import (
-    AmbiguousDecomposition,
     InternalInvariantViolation,
     NotThreeGenerated,
     NoValidOrientation,
@@ -222,7 +221,7 @@ def test_minimal_relation_matches_trial_division():
         n, reps = minimal_relation(g, u, v)
         if len(reps) > 1:
             ambiguous += 1
-            with pytest.raises(AmbiguousDecomposition) as err:
+            with pytest.raises(InternalInvariantViolation) as err:
                 _minimal_relation(g, u, v)
             assert str(err.value) == (
                 f"{n}*{g} = {n * g} decomposes over ({u}, {v}) in {len(reps)} ways; contradicts non-symmetry"

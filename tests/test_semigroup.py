@@ -211,9 +211,9 @@ def test_gaps_match_oracle(gens):
     bounds = []
     closure = semigroup._closure_window
 
-    def recording(gens, bound, mask):
+    def recording(gens, bound):
         bounds.append(bound)
-        return closure(gens, bound, mask)
+        return closure(gens, bound)
 
     with mock.patch.object(semigroup, "_closure_window", recording):
         S = NumericalSemigroup(gens)
